@@ -51,10 +51,14 @@ slot-pool engine, bit-identical, with the reason surfaced by
 
 from __future__ import annotations
 
+from itertools import chain
+
+import numpy as np
+
 from repro.core.ckernel import kernel_unavailable_reason, load_shared_lib
 from repro.core.npengine import CompiledProcessor
 from repro.core.processor import _WATCHDOG_CYCLES, DeadlockError
-from repro.core.soa import SLOT_BITS
+from repro.core.soa import SLOT_BITS, static_arrays
 from repro.core.vectorized import _BRANCH, _COPY, _LOAD, _STORE
 from repro.isa import NUM_ARCH_INT, NUM_ARCH_REGS
 from repro.isa.uops import PORT_CLASS_TABLE
@@ -96,7 +100,7 @@ long long cloop_set_trace(void *cp, long long tid, long long n,
     const long long *cpcls, const long long *cdk, const long long *clat,
     const long long *cns);
 void cloop_seed_cache(void *cp, long long which, const long long *cnt,
-                      const long long *keys);
+                      const long long *lines);
 void cloop_seed_pred(void *cp, const unsigned char *table,
                      long long nbytes, const long long *hist,
                      long long nh);
@@ -2093,8 +2097,10 @@ long long cloop_set_trace(void *cp, i64 tid, i64 n, const i64 *co,
     return 0;
 }
 
+/* cnt[si] lines per set; lines holds every set's lines back to back,
+   LRU first within each set */
 void cloop_seed_cache(void *cp, i64 which, const i64 *cnt,
-                      const i64 *keys) {
+                      const i64 *lines) {
     cloop *c = (cloop *)cp;
     lru *tgt = which == 0   ? &c->l1
                : which == 1 ? &c->l2
@@ -2103,8 +2109,9 @@ void cloop_seed_cache(void *cp, i64 which, const i64 *cnt,
                             : &c->tcl;
     for (i64 si = 0; si < tgt->nsets; si++) {
         tgt->cnt[si] = cnt[si];
-        memcpy(tgt->data + si * tgt->assoc, keys + si * tgt->assoc,
+        memcpy(tgt->data + si * tgt->assoc, lines,
                (size_t)cnt[si] * sizeof(i64));
+        lines += cnt[si];
     }
 }
 
@@ -2317,13 +2324,50 @@ void cloop_free(void *cp) {
 
 _CLOOP_SOURCE = _C_INFRA + _C_CTX + _C_MACHINE + _C_RUN + _C_RUN2 + _C_API
 
+#: rows of a thread's record block: the ``cloop_set_trace`` columns
+_TRACE_ROWS = 15
+
+
+def _trace_block(trace, mem_offset: int, latency) -> np.ndarray:
+    """One hardware thread's static record columns as a ``(15, n)`` int64
+    block, rows in ``cloop_set_trace`` argument order.
+
+    Built in bulk from ``trace.records``: the thread's address-space
+    offset is folded into ``mem_line`` and ``latency`` (the machine's
+    per-class table) is applied per record.  The values are those of the
+    slot engine's per-thread fetch columns, which the Python fallback
+    still reads.  Built per machine and dropped once the kernel has
+    copied it: caching it on the trace would keep 15 int64 words per
+    record resident.
+    """
+    rec = np.asarray(trace.records)  # a plain view of a memory-mapped trace
+    opclass = rec["opclass"]
+    plain, next_slow, _is_mem, dest_class, port_class = static_arrays(rec)
+    block = np.empty((_TRACE_ROWS, len(rec)), dtype=np.int64)
+    block[0] = opclass
+    block[1] = rec["dest"]
+    block[2] = rec["src1"]
+    block[3] = rec["src2"]
+    block[4] = rec["pc"]
+    block[5] = rec["taken"] != 0
+    block[6] = rec["mem_line"] + mem_offset
+    block[7] = rec["indirect"] != 0
+    block[8] = rec["target"]
+    block[9] = rec["complex_op"] != 0
+    block[10] = plain
+    block[11] = port_class
+    block[12] = dest_class
+    block[13] = np.asarray(latency, dtype=np.int64)[opclass]
+    block[14] = next_slow
+    return block
+
 
 class _CloopContext:
     """Owns one resident C machine and the marshal layer around it.
 
     Created only on a *fresh* processor (cycle 0, zero stats, post
     cache-prewarm), so construction seeds the kernel from Python state
-    — trace columns, warm cache contents, predictor tables — and from
+    — trace records, warm cache contents, predictor tables — and from
     then on the C side owns every piece of machine state.  ``export``
     copies the observable counters back into the Python objects at each
     region boundary; unobservable internals (heaps, fetch queues, ROB
@@ -2343,8 +2387,7 @@ class _CloopContext:
             )
         return cls._lib_memo
 
-    def __init__(self, proc) -> None:
-        lib, ffi = self._load()
+    def __init__(self, proc, lib, ffi) -> None:
         self._lib = lib
         self._ffi = ffi
         self._n_threads = proc._n_threads
@@ -2427,9 +2470,24 @@ class _CloopContext:
 
         # static trace columns (the kernel memcpy's them: no keepalive)
         for tid, t in enumerate(proc.threads):
-            cols = proc._slot_cols[tid]
-            arrs = [ffi.new("long long[]", [int(x) for x in col]) for col in cols]
-            lib.cloop_set_trace(self.c, tid, t.n_records, *arrs)
+            block = _trace_block(t.trace, t.mem_offset, proc._latency)
+            shape = (_TRACE_ROWS, t.n_records)
+            if (
+                block.dtype != np.int64
+                or block.shape != shape
+                or not block.flags.c_contiguous
+            ):
+                raise ValueError(
+                    f"thread {tid} record block must be a C-contiguous "
+                    f"int64 array of shape {shape}, got {block.dtype} "
+                    f"{block.shape}"
+                )
+            lib.cloop_set_trace(
+                self.c,
+                tid,
+                t.n_records,
+                *(ffi.from_buffer("long long[]", row) for row in block),
+            )
 
         # warm state: cache contents (L2 prewarm!), predictor tables
         for which, store in enumerate(
@@ -2447,24 +2505,22 @@ class _CloopContext:
         ip = proc.ipredictor
         lib.cloop_seed_ipred(
             self.c,
-            ffi.new("long long[]", [int(t) for t in ip._targets]),
+            ffi.new("long long[]", ip._targets),
             ip.size,
         )
 
     def _seed_lru(self, which: int, store) -> None:
-        nsets, assoc = store.num_sets, store.assoc
-        cnt = [len(s) for s in store._sets]
-        keys = [0] * (nsets * assoc)
-        for si, s in enumerate(store._sets):
-            base = si * assoc
-            for j, line in enumerate(s):
-                keys[base + j] = int(line)
+        sets = store._sets
+        if not any(sets):
+            return  # cloop_new starts every set empty
+        cnt = np.fromiter(map(len, sets), np.int64, len(sets))
+        lines = np.fromiter(chain.from_iterable(sets), np.int64, int(cnt.sum()))
         ffi = self._ffi
         self._lib.cloop_seed_cache(
             self.c,
             which,
-            ffi.new("long long[]", cnt),
-            ffi.new("long long[]", keys),
+            ffi.from_buffer("long long[]", cnt),
+            ffi.from_buffer("long long[]", lines),
         )
 
     # -- region execution ---------------------------------------------- #
@@ -2659,11 +2715,13 @@ class CloopProcessor(CompiledProcessor):
             self._cl_error = "machine already running on the pure engine"
             return False
         try:
-            self._cl = _CloopContext(self)
-        except Exception as exc:  # soft dependency: never fail the run
+            lib, ffi = _CloopContext._load()
+        except RuntimeError as exc:  # build or load failed: run pure
             self._cl_failed = True
             self._cl_error = str(exc)
             return False
+        # past the load, a failure is a marshal bug: let it surface
+        self._cl = _CloopContext(self, lib, ffi)
         return True
 
     def kernel_active(self) -> bool:

@@ -6,8 +6,9 @@ port class from ``PORT_CLASS_TABLE[uop.opclass]``, register class from
 ``dest < NUM_ARCH_INT``, fetch-group breaks from ``opclass``/flag
 fields.  All of that is a pure function of the *trace record*, so the
 batched backends precompute it once per trace with bulk NumPy column
-operations and read flat arrays (plain lists, the fastest random-access
-container in CPython) inside their cycle loops.
+operations and read flat Python sequences inside their cycle loops:
+tuples for the static per-record columns, lists for the mutable
+per-slot ones (both index at the same speed in CPython).
 
 Two layers live here:
 
@@ -32,11 +33,11 @@ mirrored into a cffi ``int64`` buffer when a kernel is attached (built
 and rebuilt by the kernel's ``rebind``, kept in sync by the engine).
 
 These columns are also the marshalling layout of the whole-loop
-compiled engine (:mod:`repro.core.cloop`): its C kernel copies the
-:class:`TraceSoA` columns into C arrays once per context and runs the
-entire cycle loop over the same slot-pool representation, so the data
-model defined here is shared by every batched backend, interpreted or
-compiled.
+compiled engine (:mod:`repro.core.cloop`): it derives the same
+:class:`TraceSoA` columns in bulk (:func:`static_arrays`), hands them to
+its C kernel once per context and runs the entire cycle loop over the
+same slot-pool representation, so the data model defined here is
+shared by every batched backend, interpreted or compiled.
 """
 
 from __future__ import annotations
@@ -79,6 +80,12 @@ class TraceSoA:
     ``port_class``
         issue-port class per record (``PORT_CLASS_TABLE`` applied in
         bulk).
+
+    Every column is a tuple: it is read-only, indexes as fast as a list,
+    and CPython's cyclic collector stops tracking a tuple of ints after
+    the first collection that sees it.  Lists would stay tracked for the
+    trace's lifetime, and every full collection would walk their slots
+    (millions of them once a workload pool is loaded).
     """
 
     __slots__ = ("n", "plain", "next_slow", "is_mem", "dest_class", "port_class")
@@ -86,21 +93,32 @@ class TraceSoA:
     def __init__(self, trace: Trace) -> None:
         rec = trace.records
         self.n = len(rec)
-        n = self.n
-        opclass = rec["opclass"]
-        slow = (
-            (opclass == _BRANCH)
-            | (rec["complex_op"] != 0)
-            | (rec["indirect"] != 0)
-        )
-        self.plain = (~slow).tolist()
-        idx = np.where(slow, np.arange(n, dtype=np.int64), n)
-        self.next_slow = np.minimum.accumulate(idx[::-1])[::-1].tolist()
-        self.is_mem = ((opclass == _LOAD) | (opclass == _STORE)).tolist()
-        self.dest_class = (rec["dest"] >= NUM_ARCH_INT).astype(np.uint8).tolist()
-        self.port_class = (
-            np.asarray(PORT_CLASS_TABLE, dtype=np.uint8)[opclass].tolist()
-        )
+        (
+            self.plain,
+            self.next_slow,
+            self.is_mem,
+            self.dest_class,
+            self.port_class,
+        ) = (tuple(col.tolist()) for col in static_arrays(rec))
+
+
+def static_arrays(rec: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The :class:`TraceSoA` columns of ``rec`` as numpy arrays, in the
+    order ``(plain, next_slow, is_mem, dest_class, port_class)``.
+
+    Shared by :class:`TraceSoA` and the C kernel's bulk marshal
+    (:mod:`repro.core.cloop`), so both derive the same values."""
+    n = len(rec)
+    opclass = rec["opclass"]
+    slow = (opclass == _BRANCH) | (rec["complex_op"] != 0) | (rec["indirect"] != 0)
+    idx = np.where(slow, np.arange(n, dtype=np.int64), n)
+    return (
+        ~slow,
+        np.minimum.accumulate(idx[::-1])[::-1],
+        (opclass == _LOAD) | (opclass == _STORE),
+        (rec["dest"] >= NUM_ARCH_INT).astype(np.uint8),
+        np.asarray(PORT_CLASS_TABLE, dtype=np.uint8)[opclass],
+    )
 
 
 def trace_soa(trace: Trace) -> TraceSoA:
@@ -112,21 +130,22 @@ def trace_soa(trace: Trace) -> TraceSoA:
     return soa
 
 
-def thread_mem_lines(trace: Trace, mem_offset: int) -> list[int]:
+def thread_mem_lines(trace: Trace, mem_offset: int) -> tuple[int, ...]:
     """Per-record effective cache-line addresses for one hardware thread.
 
     The reference fetch path computes ``mem_line + (tid << 33)`` per
     fetched uop; this folds the thread's address-space offset in bulk.
     Not cached on the trace: the offset is per *thread*, and the same
-    trace may back several threads.
+    trace may back several threads.  A tuple, like the cached columns,
+    so the collector stops tracking it.
     """
-    return (trace.records["mem_line"] + mem_offset).tolist()
+    return tuple((trace.records["mem_line"] + mem_offset).tolist())
 
 
-def trace_latencies(trace: Trace, latency_table) -> list[int]:
+def trace_latencies(trace: Trace, latency_table) -> tuple[int, ...]:
     """Per-record base execution latency (``latency_table[opclass]`` in
     bulk).  Config-dependent, so cached by the engine, not the trace."""
-    return (
+    return tuple(
         np.asarray(latency_table, dtype=np.int64)[trace.records["opclass"]]
         .tolist()
     )

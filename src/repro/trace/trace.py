@@ -44,26 +44,33 @@ TRACE_DTYPE = np.dtype(
 
 
 class TraceColumns(NamedTuple):
-    """The trace's fields as plain-Python column lists.
+    """The trace's fields as plain-Python column tuples.
 
     The fetch stage reads one record per fetched uop; indexing a numpy
     structured array row-by-row costs a scalar-boxing allocation per field,
     which profiles as one of the cycle loop's top costs.  Converting each
-    column to a plain list once per trace makes those reads simple list
+    column to a plain sequence once per trace makes those reads simple
     indexing.  Values are identical to the records (ints/bools), so
     simulation results are unchanged.
+
+    The columns are tuples, not lists: they are read-only, indexing a
+    tuple costs the same as indexing a list, and CPython's cyclic
+    collector stops tracking a tuple of ints after the first collection
+    that sees it.  List columns stay tracked for the trace's lifetime, so
+    every full collection would walk their slots, millions of them once a
+    workload pool is loaded.
     """
 
-    opclass: list[int]
-    dest: list[int]
-    src1: list[int]
-    src2: list[int]
-    pc: list[int]
-    taken: list[bool]
-    mem_line: list[int]
-    indirect: list[bool]
-    target: list[int]
-    complex_op: list[bool]
+    opclass: tuple[int, ...]
+    dest: tuple[int, ...]
+    src1: tuple[int, ...]
+    src2: tuple[int, ...]
+    pc: tuple[int, ...]
+    taken: tuple[bool, ...]
+    mem_line: tuple[int, ...]
+    indirect: tuple[bool, ...]
+    target: tuple[int, ...]
+    complex_op: tuple[bool, ...]
 
 
 @dataclass(frozen=True)
@@ -104,20 +111,20 @@ class Trace:
         return len(self.records)
 
     def columns(self) -> TraceColumns:
-        """Plain-list views of the record fields (built once, then reused)."""
+        """Plain-tuple copies of the record fields (built once, then reused)."""
         if self._columns is None:
             rec = self.records
             self._columns = TraceColumns(
-                opclass=rec["opclass"].tolist(),
-                dest=rec["dest"].tolist(),
-                src1=rec["src1"].tolist(),
-                src2=rec["src2"].tolist(),
-                pc=rec["pc"].tolist(),
-                taken=rec["taken"].astype(bool).tolist(),
-                mem_line=rec["mem_line"].tolist(),
-                indirect=rec["indirect"].astype(bool).tolist(),
-                target=rec["target"].tolist(),
-                complex_op=rec["complex_op"].astype(bool).tolist(),
+                opclass=tuple(rec["opclass"].tolist()),
+                dest=tuple(rec["dest"].tolist()),
+                src1=tuple(rec["src1"].tolist()),
+                src2=tuple(rec["src2"].tolist()),
+                pc=tuple(rec["pc"].tolist()),
+                taken=tuple(rec["taken"].astype(bool).tolist()),
+                mem_line=tuple(rec["mem_line"].tolist()),
+                indirect=tuple(rec["indirect"].astype(bool).tolist()),
+                target=tuple(rec["target"].tolist()),
+                complex_op=tuple(rec["complex_op"].astype(bool).tolist()),
             )
         return self._columns
 

@@ -51,6 +51,17 @@ def _isolated_cost_model(tmp_path_factory):
         os.environ["REPRO_COST_MODEL"] = old
 
 
+@pytest.fixture
+def c_kernel():
+    """Skip, with the reason, where the C kernels cannot be built (no cffi,
+    no C compiler, or ``REPRO_NO_CKERNEL`` set)."""
+    from repro.core.ckernel import kernel_unavailable_reason
+
+    reason = kernel_unavailable_reason()
+    if reason is not None:
+        pytest.skip(f"C kernel unavailable: {reason}")
+
+
 # A compact, fast default machine for tests: the Table 1 baseline.
 @pytest.fixture(scope="session")
 def config():
@@ -142,3 +153,26 @@ def mem_trace_b(mem_profile):
 @pytest.fixture(scope="session")
 def fp_trace(fp_profile):
     return generate_trace(fp_profile, seed=19, n_uops=3000, kind="ilp")
+
+
+@pytest.fixture(scope="session")
+def feature_trace():
+    """Indirect branches + MROM complex ops: exercises every fetch slow path."""
+    profile = TraceProfile(
+        name="test-feature",
+        frac_load=0.22,
+        frac_store=0.08,
+        frac_branch=0.12,
+        frac_indirect=0.3,
+        indirect_targets=5,
+        frac_complex=0.05,
+        dep_mean_distance=6.0,
+        dep_locality=0.4,
+        working_set_lines=500,
+        stride_frac=0.6,
+        branch_bias=0.85,
+        int_regs_used=12,
+        fp_regs_used=6,
+        n_blocks=32,
+    )
+    return generate_trace(profile, seed=7, n_uops=3000, kind="ilp")

@@ -26,7 +26,6 @@ from repro.core.backends import BACKENDS, OPTIONAL_BACKENDS, resolve_backend
 from repro.core.simulator import run_simulation
 from repro.policies import POLICY_NAMES, make_policy
 from repro.telemetry import Telemetry, TelemetryConfig
-from repro.trace.synthesis import TraceProfile, generate_trace
 
 #: Every registered engine that must match the oracle.
 ALT_BACKENDS = [b for b in BACKENDS if b != "reference"]
@@ -123,29 +122,6 @@ def test_telemetry_delegation_identical(config, backend, mem_trace, ilp_trace_b,
         assert path.read_bytes() == out["reference"][name].read_bytes(), (
             f"{name} telemetry export differs between backends"
         )
-
-
-@pytest.fixture(scope="module")
-def feature_trace():
-    """Indirect branches + MROM complex ops: exercises every fetch slow path."""
-    profile = TraceProfile(
-        name="test-feature",
-        frac_load=0.22,
-        frac_store=0.08,
-        frac_branch=0.12,
-        frac_indirect=0.3,
-        indirect_targets=5,
-        frac_complex=0.05,
-        dep_mean_distance=6.0,
-        dep_locality=0.4,
-        working_set_lines=500,
-        stride_frac=0.6,
-        branch_bias=0.85,
-        int_regs_used=12,
-        fp_regs_used=6,
-        n_blocks=32,
-    )
-    return generate_trace(profile, seed=7, n_uops=3000, kind="ilp")
 
 
 @pytest.mark.parametrize("backend", ALT_BACKENDS)

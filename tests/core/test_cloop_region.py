@@ -9,7 +9,8 @@ cross-backend identity suite (which pins *what* the regions compute).
 
 Everything here must hold with and without the toolchain: the pure
 fallback implements the same region API through the inherited engines,
-so each test also runs under ``REPRO_NO_CKERNEL``.
+so each test also runs under ``REPRO_NO_CKERNEL``.  The kernel half is
+skipped, with the reason, where cffi or a C compiler is missing.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ def _proc(config, traces, policy="icount", **kw):
 @pytest.fixture(params=["kernel", "fallback"])
 def mode(request, monkeypatch):
     """Run each test twice: resident C kernel and pure fallback."""
-    if request.param == "fallback":
+    if request.param == "kernel":
+        request.getfixturevalue("c_kernel")
+    else:
         monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
     return request.param
 

@@ -1,8 +1,11 @@
 """Trace container and persistence tests."""
 
+import gc
+
 import numpy as np
 import pytest
 
+from repro.core.soa import TraceSoA, trace_soa
 from repro.isa import NO_REG, UopClass
 from repro.trace.trace import TRACE_DTYPE, Trace
 
@@ -95,3 +98,18 @@ def test_save_load_roundtrip(tmp_path, ilp_trace):
     assert back.category == ilp_trace.category
     assert back.kind == ilp_trace.kind
     assert back.seed == ilp_trace.seed
+
+
+def test_static_columns_are_hidden_from_the_collector(feature_trace):
+    """The cached per-record columns are tuples of ints and bools, which
+    CPython's cyclic collector stops tracking after one collection: a
+    loaded workload pool adds nothing to any later full collection."""
+    trace = Trace(feature_trace.records.copy())
+    cols = trace.columns()
+    soa = trace_soa(trace)
+    gc.collect()
+    for name, col in zip(cols._fields, cols):
+        assert len(col) == len(trace)
+        assert not gc.is_tracked(col), f"columns().{name}"
+    for name in TraceSoA.__slots__:
+        assert not gc.is_tracked(getattr(soa, name)), f"trace_soa().{name}"
