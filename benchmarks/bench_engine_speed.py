@@ -297,9 +297,8 @@ def bench_cycle_loop_mem_bound_cloop(benchmark, speed_log):
 
 
 def bench_cycle_loop_cdprf_cloop(benchmark, speed_log):
-    """CDPRF is outside the C policy table, so this measures the cloop
-    backend's *delegation* path (the inherited compiled/numpy chain) —
-    recorded so the table shows what non-C policies pay."""
+    """CDPRF with its register rules, counters and interval ends running
+    in the C policy table (the identity assert below covers them)."""
     _bench_slot_pool(benchmark, speed_log, "cloop", "cycle_loop_cdprf_cloop",
                      "cdprf", _traces(), 100_000)
 

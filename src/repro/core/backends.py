@@ -30,9 +30,10 @@ Registered engines:
     the whole-loop compiled engine: the entire cycle loop runs in one
     resident C kernel against the slot-pool columns, re-entering Python
     only at observable-event boundaries (:mod:`repro.core.cloop`).
-    Icount and the trivial-admission family run natively in a C policy
-    table; everything else — and any environment without the toolchain
-    — delegates to the ``compiled``/``numpy`` chain, bit-identical.
+    All ten of the paper's schemes run natively in a C policy table;
+    telemetry runs, DCRA, hill-climbing, policy subclasses, steering
+    ablations and any environment without the toolchain delegate to the
+    ``compiled``/``numpy`` chain, bit-identical.
 
 Selection precedence: explicit ``backend=`` argument >
 ``REPRO_BACKEND`` environment variable > :data:`DEFAULT_BACKEND`.

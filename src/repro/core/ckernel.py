@@ -11,8 +11,10 @@ but it does have ``cffi`` and a C compiler, so the kernel is ~180 lines
 of C compiled **on demand** into a shared library under a persistent
 per-user cache directory (``REPRO_CKERNEL_CACHE``, default
 ``~/.cache/repro/ckernel``; never inside the repository), loaded in ABI
-mode.  The build is content-hashed and file-locked, so it runs once per
-machine per kernel version even with concurrent sweep workers.  The
+mode.  The build is keyed by a hash of the source and the compiler flags
+(``REPRO_CKERNEL_CFLAGS``, default ``-O2``; e.g. a sanitizer build) and
+file-locked, so it runs once per machine per kernel version and flag
+set even with concurrent sweep workers.  The
 build/load machinery here (:func:`build_shared_lib`,
 :func:`load_shared_lib`) is shared with the whole-loop engine
 (:mod:`repro.core.cloop`).
@@ -50,12 +52,14 @@ from __future__ import annotations
 
 import hashlib
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
 
 _ENV_DISABLE = "REPRO_NO_CKERNEL"
 _ENV_CACHE = "REPRO_CKERNEL_CACHE"
+_ENV_CFLAGS = "REPRO_CKERNEL_CFLAGS"
 
 _C_SOURCE = r"""
 typedef long long i64;
@@ -287,12 +291,19 @@ def _cache_dir() -> str:
         return tempfile.gettempdir()
 
 
+def _cflags() -> list[str]:
+    """Compiler flags for kernel builds: ``REPRO_CKERNEL_CFLAGS`` split
+    like a shell would, or ``-O2`` when it is unset or blank."""
+    return shlex.split(os.environ.get(_ENV_CFLAGS, "")) or ["-O2"]
+
+
 def build_shared_lib(source: str, stem: str) -> str:
     """Compile ``source`` (or reuse a cached build); return the ``.so`` path.
 
-    The library lands in :func:`_cache_dir` keyed by a content hash of
-    the C source, so rebuilds only happen when the kernel changes — and
-    never write inside the repository.  Concurrent builders (parallel
+    The library lands in :func:`_cache_dir` keyed by a hash of the C
+    source and the compiler flags (:func:`_cflags`), so rebuilds only
+    happen when the kernel or the flags change — and never write inside
+    the repository.  Concurrent builders (parallel
     sweep workers on a cold cache) serialize on a file lock; the final
     publish is an atomic rename either way, so a lock-less filesystem
     degrades to at-worst-duplicated work, never a torn library.
@@ -300,7 +311,9 @@ def build_shared_lib(source: str, stem: str) -> str:
     cc = _find_compiler()
     if cc is None:
         raise RuntimeError("no C compiler (cc/gcc/clang) on PATH")
-    tag = hashlib.sha256(source.encode()).hexdigest()[:16]
+    flags = _cflags()
+    key = "\0".join([source, *flags])
+    tag = hashlib.sha256(key.encode()).hexdigest()[:16]
     cache = _cache_dir()
     ext = ".dylib" if sys.platform == "darwin" else ".so"
     lib_path = os.path.join(cache, f"{stem}_{tag}{ext}")
@@ -323,7 +336,7 @@ def build_shared_lib(source: str, stem: str) -> str:
             f.write(source)
         build_path = lib_path + f".build-{os.getpid()}"
         subprocess.run(
-            [cc, "-O2", "-shared", "-fPIC", "-o", build_path, src_path],
+            [cc, *flags, "-shared", "-fPIC", "-o", build_path, src_path],
             check=True,
             capture_output=True,
             text=True,

@@ -28,20 +28,40 @@ interpreter.  The transcription preserves
 * every stats/epoch/memo update, including the rename-stall memo and
   the Tier-B replay bookkeeping the fast-forward jump depends on.
 
-The *C policy table* covers the paper's hot schemes — Icount and the
-trivial-admission static-partition family (CISP, CSSP, CSPSP, PC).
-These policies never cross the FFI boundary mid-region: their admission
-checks (`may_dispatch_group`) are transcribed into the kernel, their
-``ff_horizon``/``ff_cycles`` hooks are the base-class no-ops, and their
-rename selection is the inlined ICOUNT scan.  Everything else —
-telemetry runs, policies with live hooks or non-C admission state,
-steering ablations — delegates to the proven ``compiled``/``numpy``
-chain through the inherited entry points, so one instance never mixes
-C-resident and Python-resident machine state.
+The *C policy table* covers all ten of the paper's schemes, and none
+of them crosses the FFI boundary mid-region.  Each is Icount (the
+inlined ICOUNT rename scan) plus transcribed rules, taken from the
+Python policies and the ``vectorized`` engine's hook call sites:
+
+* CISP, CSSP, CSPSP and PC: their ``may_dispatch_group`` admission;
+* Stall and Flush+: the issue-time ``on_l2_miss`` rule (the rename
+  gate; flush-with-rewind with first-misser-continues, which is why the
+  issue stage selects first and executes afterwards) and
+  ``on_l2_fill``, with Stall's ``stalled_thread_cycles`` and its
+  fast-forward account;
+* CSSPRF, CISPRF and CDPRF: CSSP plus per-(thread, class, cluster)
+  register counts at every allocation and free, the static caps over
+  the files' live capacity, and CDPRF's reserve-then-share admission,
+  Starvation/RFOC tick and interval end (which no fast-forward jump
+  crosses).
+
+The table matches exact types.  What still runs on the Python engines,
+through the inherited ``compiled``/``numpy``/``vectorized`` chain, and
+why (``_cl_error`` names the reason):
+
+* telemetry runs — the kernel has no sampler or event hooks;
+* DCRA and hill-climbing — adaptive policies whose per-cycle state the
+  table does not transcribe;
+* any policy subclass — an ablation may override admission or a hook;
+* steering that is neither the inlinable default nor forced (PC).
+
+One instance never mixes C-resident and Python-resident machine state.
 
 Region API: :meth:`CloopProcessor.run_cycles` runs a bounded region and
 returns a typed exit reason (``"limit"`` or ``"done"``); exit counts are
-tallied in :attr:`CloopProcessor.region_exits`.  The kernel is a soft
+tallied in :attr:`CloopProcessor.region_exits`.  ``run_simulation``
+frees the C machine once it has the stats
+(:meth:`CloopProcessor.release`).  The kernel is a soft
 dependency with the established discipline: built on demand with cffi
 and a content-hashed persistent cache (:mod:`repro.core.ckernel`), and
 ``REPRO_NO_CKERNEL`` / no cffi / no C compiler falls back to the pure
@@ -51,6 +71,7 @@ slot-pool engine, bit-identical, with the reason surfaced by
 
 from __future__ import annotations
 
+import threading
 from itertools import chain
 
 import numpy as np
@@ -62,7 +83,11 @@ from repro.core.soa import SLOT_BITS, static_arrays
 from repro.core.vectorized import _BRANCH, _COPY, _LOAD, _STORE
 from repro.isa import NUM_ARCH_INT, NUM_ARCH_REGS
 from repro.isa.uops import PORT_CLASS_TABLE
+from repro.policies.cdprf import CDPRFPolicy
+from repro.policies.flushplus import FlushPlusPolicy
 from repro.policies.icount import IcountPolicy
+from repro.policies.regfile_static import CISPRFPolicy, CSSPRFPolicy
+from repro.policies.stall import StallPolicy
 from repro.policies.static_partition import (
     CISPPolicy,
     CSPSPPolicy,
@@ -82,9 +107,25 @@ _C_POLICY_KINDS = {
     CSSPPolicy: 2,
     CSPSPPolicy: 3,
     PrivateClustersPolicy: 4,
+    CSSPRFPolicy: 5,
+    CISPRFPolicy: 6,
+    CDPRFPolicy: 7,
+    StallPolicy: 8,
+    FlushPlusPolicy: 9,
 }
 
+#: kinds whose policy meters registers per (thread, class, cluster)
+_REG_METERED = (5, 6, 7)
+_CDPRF = 7
+
+#: per-thread policy state values (``POLICY_STATE`` in the C source)
+_POLICY_STATE = 14
+
 _STOP_CODES = {"first_done": 0, "all_done": 1, "cycles": 2}
+
+#: per thread, the context of the last released machine (see
+#: :meth:`CloopProcessor.release`)
+_held = threading.local()
 
 #: rename-stall causes, in the kernel's integer encoding
 _CAUSES = ("iq", "rf_int", "rf_fp", "rob", "mob")
@@ -105,6 +146,7 @@ void cloop_seed_pred(void *cp, const unsigned char *table,
                      long long nbytes, const long long *hist,
                      long long nh);
 void cloop_seed_ipred(void *cp, const long long *targets, long long n);
+void cloop_seed_policy(void *cp, const long long *state);
 long long cloop_run(void *cp, long long limit, long long stop_mode,
                     long long commit_target, long long use_ff,
                     long long single);
@@ -411,6 +453,12 @@ typedef struct {
     i64 rob_peak;
     i64 *atcl, *atph, *atrp;      /* rename table columns */
     i64 memo_entry, memo_gen, memo_epoch, memo_cause;
+    /* policy state: Stall/Flush+ gates; registers held [class][cluster]
+     * (copies charged to their thread); CDPRF threshold, RFOC,
+     * Starvation and its pending flag, per class */
+    i64 gated, flushed;
+    i64 usage[2][2];
+    i64 thr[2], rfoc[2], starv[2], starved_now[2];
     /* owned trace column copies */
     i64 *co, *cd, *cs1, *cs2, *cpc, *ctk, *cml, *cind, *ctg, *ccomp;
     i64 *cplain, *cpcls, *cdk, *clat, *cns;
@@ -431,6 +479,7 @@ typedef struct cloop {
     i64 icn_links, icn_lat;
     i64 num_int, num_arch, imb_threshold;
     i64 policy_kind, dispatch_trivial, memo_on, forced_mode;
+    i64 interval, rf_total[2];    /* CDPRF: interval, register totals */
     i64 slot_bits, max_slots, watchdog;
     i64 latency[8], copy_pcls;
     i64 OP_LOAD, OP_STORE, OP_BRANCH, OP_COPY;
@@ -478,9 +527,11 @@ typedef struct cloop {
     i64 *p_age, *p_gen, *p_cl, *p_pref, *p_pd, *p_pp, *p_ppc, *p_pr;
     i64 *p_wc, *p_mob, *p_w0, *p_w1;
     u8 *p_destk, *p_pcls, *p_wp, *p_iss, *p_sq, *p_done, *p_misp, *p_orph;
+    u8 *p_l2m;                    /* right-path load that missed in L2 */
 
-    /* select structures */
-    vec heap[2], deferred[2], defer2[2], passed[2];
+    /* select structures (issued: this cycle's port winners, executed
+     * after the scan) */
+    vec heap[2], deferred[2], defer2[2], passed[2], issued[2];
 
     /* threads */
     tctx *t;
@@ -497,6 +548,7 @@ typedef struct cloop {
     i64 rsc[5], rse[2];
     i64 s_mispredicts, s_squashed, s_wpf, s_wpr;
     i64 imb[3][2], s_imb_cycles, s_issue_cycles;
+    i64 s_flushes, s_stalled;     /* Flush+ flushes, Stall gated cycles */
     i64 *cpt;                     /* committed per thread */
 
     vec creplays;                 /* (tid << 3) | cause */
@@ -508,6 +560,14 @@ typedef struct cloop {
 #define CAUSE_RF_FP 2
 #define CAUSE_ROB 3
 #define CAUSE_MOB 4
+
+/* policy kinds (_C_POLICY_KINDS); 5-7 are CSSP plus a register rule,
+ * 8-9 are Icount plus an L2-miss rule */
+#define K_CSSPRF 5
+#define K_CISPRF 6
+#define K_CDPRF 7
+#define K_STALL 8
+#define K_FLUSHP 9
 
 /* ---- shared vec pool ---- */
 static i64 pool_acquire(cloop *c) {
@@ -550,8 +610,11 @@ static i64 wheel_min(const imap *m) {
     return best;
 }
 
-/* ---- register files ---- */
-static i64 rf_alloc(cloop *c, rf *f) {
+/* ---- register files ----
+ * Allocation and free charge (tid, class, cluster) like the policies'
+ * on_reg_alloc/on_reg_free hooks (a copy's replica is its thread's). */
+static i64 rf_alloc(cloop *c, i64 tid, i64 cl, i64 k) {
+    rf *f = &c->files[cl][k];
     if (!f->free_n) {
         if (!f->unbounded) { c->err = 4; return -1; }
         i64 ncap = f->cap * 2;
@@ -569,13 +632,14 @@ static i64 rf_alloc(cloop *c, rf *f) {
     f->in_use++;
     f->alloc_count++;
     if (f->in_use > f->peak) f->peak = f->in_use;
+    c->t[tid].usage[k][cl]++;
     return phys;
 }
 
 /* Mirrors RegisterFile.free(): a freed phys must have no live waiters
  * (an empty waiter list is silently discarded, matching the Python
  * pop-then-raise-if-truthy). */
-static void free_phys(cloop *c, i64 cl, i64 k, i64 phys) {
+static void free_phys(cloop *c, i64 tid, i64 cl, i64 k, i64 phys) {
     rf *f = &c->files[cl][k];
     f->ready[phys] = 0;
     i64 bi = f->wait[phys];
@@ -586,6 +650,11 @@ static void free_phys(cloop *c, i64 cl, i64 k, i64 phys) {
     }
     f->free_[f->free_n++] = phys;
     f->in_use--;
+    if (--c->t[tid].usage[k][cl] < 0) c->err = 7;
+}
+
+static i64 total_usage(const tctx *t, i64 k) {
+    return t->usage[k][0] + t->usage[k][1];
 }
 
 static void add_waiter(cloop *c, i64 cl, i64 k, i64 phys, i64 sl) {
@@ -768,6 +837,7 @@ static int pool_grow(cloop *c) {
     pgrow_u8(c->p_done, ocap, ncap, &c->p_done);
     pgrow_u8(c->p_misp, ocap, ncap, &c->p_misp);
     pgrow_u8(c->p_orph, ocap, ncap, &c->p_orph);
+    pgrow_u8(c->p_l2m, ocap, ncap, &c->p_l2m);
     c->free_slots =
         (i64 *)realloc(c->free_slots, (size_t)ncap * sizeof(i64));
     /* free_slots.extend(range(ncap-1, ocap-1, -1)): pop() -> ocap first */
@@ -788,7 +858,7 @@ static i64 make_copy(cloop *c, i64 tid, i64 consumer_sl, i64 arch,
     i64 home = t->atcl[arch];
     i64 hphys = t->atph[arch];
     i64 k = arch < c->num_int ? 0 : 1;
-    i64 replica = rf_alloc(c, &c->files[target_cluster][k]);
+    i64 replica = rf_alloc(c, tid, target_cluster, k);
     if (c->err) return -1;
     t->atrp[arch] = replica;
     i64 sl = c->free_slots[--c->free_n];
@@ -811,6 +881,7 @@ static i64 make_copy(cloop *c, i64 tid, i64 consumer_sl, i64 arch,
     c->p_done[sl] = 0;
     c->p_misp[sl] = 0;
     c->p_orph[sl] = 0;
+    c->p_l2m[sl] = 0;
     i64 w0 = -1, wait = 0;
     if (!c->files[home][k].ready[hphys]) {
         add_waiter(c, home, k, hphys, sl);
@@ -882,7 +953,7 @@ static void squash_younger(cloop *c, i64 tid, i64 keep_age, int rewind) {
             i64 phys = c->p_pd[sl];
             if (t->atrp[dest] == phys) t->atrp[dest] = -1;
             i64 k = c->p_destk[sl];
-            free_phys(c, c->p_pref[sl], k, phys);
+            free_phys(c, tid, c->p_pref[sl], k, phys);
             if (c->err) return;
         } else {
             i64 dest = c->p_dest[sl];
@@ -890,7 +961,7 @@ static void squash_younger(cloop *c, i64 tid, i64 keep_age, int rewind) {
                 t->atcl[dest] = c->p_ppc[sl];
                 t->atph[dest] = c->p_pp[sl];
                 t->atrp[dest] = c->p_pr[sl];
-                free_phys(c, c->p_cl[sl], c->p_destk[sl], c->p_pd[sl]);
+                free_phys(c, tid, c->p_cl[sl], c->p_destk[sl], c->p_pd[sl]);
                 if (c->err) return;
             }
             i64 opc = c->p_op[sl];
@@ -954,17 +1025,157 @@ static void resolve_misp(cloop *c, i64 branch_sl) {
     c->s_mispredicts++;
 }
 
+/* ---- Flush+ (transcribes flush_thread and FlushPlusPolicy) ----
+ * keep_age < 0: keep up to the oldest pending L2-missing load, if any */
+static void flush_thread(cloop *c, i64 tid, i64 keep_age) {
+    tctx *t = &c->t[tid];
+    if (keep_age < 0) {
+        for (i64 i = 0; i < t->infl.n; i++) {   /* in age order */
+            i64 sl = ring_get(&t->infl, i);
+            if (c->p_l2m[sl] && !c->p_done[sl]) {
+                keep_age = c->p_age[sl];
+                break;
+            }
+        }
+        if (keep_age < 0) return;
+    }
+    squash_younger(c, tid, keep_age, 1);
+    if (c->err) return;
+    t->flushed = 1;
+    c->s_flushes++;
+}
+
+static void flushplus_on_l2_miss(cloop *c, i64 tid, i64 age, i64 cycle) {
+    i64 n_missing = 0, earliest = -1, best = 0;
+    for (i64 ti = 0; ti < c->n_threads; ti++) {
+        const tctx *t = &c->t[ti];
+        if (t->l2_pending <= 0) continue;
+        n_missing++;
+        i64 first = t->first_l2_miss >= 0 ? t->first_l2_miss : cycle;
+        if (earliest < 0 || first < best) {
+            earliest = ti;
+            best = first;
+        }
+    }
+    if (n_missing <= 1) {               /* sole misser: plain Flush */
+        if (!c->t[tid].flushed) flush_thread(c, tid, age);
+        return;
+    }
+    /* several missers: the earliest continues, the rest are flushed */
+    for (i64 ti = 0; ti < c->n_threads; ti++) {
+        tctx *t = &c->t[ti];
+        if (t->l2_pending <= 0) continue;
+        if (ti == earliest) {
+            t->flushed = 0;
+        } else if (!t->flushed) {
+            flush_thread(c, ti, ti == tid ? age : -1);
+            if (c->err) return;
+        }
+    }
+}
+
+/* ---- issue-time execution (transcribes _start_execution past the
+ * IQ release); the L2-miss point runs the policy's on_l2_miss ---- */
+static void start_exec(cloop *c, i64 sl, i64 key, i64 cycle) {
+    i64 tid = c->p_tid[sl];
+    tctx *t = &c->t[tid];
+    i64 opc = c->p_op[sl];
+    i64 lat = c->p_lat[sl];
+    if (opc == c->OP_LOAD) {
+        i64 ml = c->p_ml[sl];
+        if (imap_has(&c->mob_lines[tid], ml)) {
+            c->mob_forwards++;
+            lat += 1;
+        } else {
+            int l2m;
+            lat += mem_access(c, ml, cycle, &l2m);
+            if (l2m && !c->p_wp[sl]) {
+                c->p_l2m[sl] = 1;
+                if (t->l2_pending == 0) t->first_l2_miss = cycle;
+                t->l2_pending++;
+                wheel_push(c, &c->fill_map, cycle + lat, tid);
+                if (c->policy_kind == K_STALL)
+                    t->gated = 1;
+                else if (c->policy_kind == K_FLUSHP)
+                    flushplus_on_l2_miss(c, tid, c->p_age[sl], cycle);
+            }
+        }
+    } else if (opc == c->OP_STORE) {
+        int l2m;
+        i64 ml = c->p_ml[sl];
+        mem_access(c, ml, cycle, &l2m);
+        c->p_mob[sl] = 2;
+        mob_remember(c, tid, ml);
+    }
+    wheel_push(c, &c->ev_map, cycle + lat, key);
+}
+
+/* ---- CDPRF start-of-cycle counters (Figures 7 and 8) ---- */
+static void cdprf_on_cycle(cloop *c, i64 cycle) {
+    for (i64 ti = 0; ti < c->n_threads; ti++) {
+        tctx *t = &c->t[ti];
+        for (int k = 0; k < 2; k++) {
+            if (t->starved_now[k]) {
+                t->starv[k]++;
+                t->starved_now[k] = 0;
+            } else {
+                t->starv[k] = 0;
+            }
+            t->rfoc[k] += total_usage(t, k) + t->starv[k];
+        }
+    }
+    if (cycle % c->interval) return;
+    /* interval end: re-partition, then invalidate memoized admissions */
+    for (i64 ti = 0; ti < c->n_threads; ti++) {
+        tctx *t = &c->t[ti];
+        for (int k = 0; k < 2; k++) {
+            i64 avg = t->rfoc[k] / c->interval;
+            i64 cap = c->rf_total[k] / c->n_threads;
+            if (cap < 1) cap = 1;
+            i64 th = avg < cap ? avg : cap;
+            t->thr[k] = th < 1 ? 1 : th;
+            t->rfoc[k] = 0;
+        }
+    }
+    c->epoch++;
+}
+
+/* ---- policy ff_cycles: replay `span` frozen cycles of on_cycle in
+ * closed form; 0 vetoes the jump ---- */
+static int policy_ff_cycles(cloop *c, i64 span) {
+    if (c->policy_kind == K_STALL) {
+        for (i64 ti = 0; ti < c->n_threads; ti++)
+            if (c->t[ti].gated) c->s_stalled += span;
+    } else if (c->policy_kind == K_CDPRF) {
+        for (i64 ti = 0; ti < c->n_threads; ti++)
+            if (c->t[ti].starved_now[0] || c->t[ti].starved_now[1]) return 0;
+        for (i64 ti = 0; ti < c->n_threads; ti++) {
+            tctx *t = &c->t[ti];
+            for (int k = 0; k < 2; k++) {
+                t->starv[k] = 0;
+                t->rfoc[k] += total_usage(t, k) * span;
+            }
+        }
+    }
+    return 1;
+}
+
 /* ---- policy admission (transcribes may_dispatch_group loops) ---- */
 static int may_dispatch_group(cloop *c, i64 tid, i64 n0, i64 n1) {
     switch (c->policy_kind) {
-    case 0:                     /* ICOUNT: admit everything */
+    case 0:                     /* ICOUNT (Stall, Flush+): admit everything */
+    case K_STALL:
+    case K_FLUSHP:
         return 1;
     case 1: {                   /* CISP: total-IQ equal share, one call */
         i64 used = c->iq_pt[0][tid] + c->iq_pt[1][tid];
         i64 total_cap = c->iq_cap[0] + c->iq_cap[1];
         return used + (n0 + n1) <= total_cap / c->n_threads;
     }
-    case 2: {                   /* CSSP: per-cluster equal IQ share */
+    case 2:                     /* CSSP: per-cluster equal IQ share */
+    case K_CSSPRF:              /* (the register schemes run on CSSP) */
+    case K_CISPRF:
+    case K_CDPRF: {
         for (i64 cl = 0; cl < 2; cl++) {
             i64 n = cl ? n1 : n0;
             if (!n) continue;
@@ -1006,11 +1217,40 @@ static int may_dispatch_group(cloop *c, i64 tid, i64 n0, i64 n1) {
     }
 }
 
+/* ---- register admission (transcribes may_alloc_reg) ---- */
+static int may_alloc_reg(cloop *c, i64 tid, i64 k, i64 cl, i64 needed) {
+    const tctx *t = &c->t[tid];
+    switch (c->policy_kind) {
+    case K_CSSPRF: {            /* 1/N of this cluster's live file */
+        i64 share = c->files[cl][k].cap / c->n_threads;
+        if (share < 1) share = 1;
+        return t->usage[k][cl] + needed <= share;
+    }
+    case K_CISPRF: {            /* 1/N of both clusters' live files */
+        i64 share = (c->files[0][k].cap + c->files[1][k].cap) / c->n_threads;
+        if (share < 1) share = 1;
+        return total_usage(t, k) + needed <= share;
+    }
+    case K_CDPRF: {             /* reserve-then-share */
+        if (total_usage(t, k) + needed <= t->thr[k]) return 1;
+        i64 total_free = c->files[0][k].free_n + c->files[1][k].free_n;
+        i64 reserved_unused = 0;
+        for (i64 o = 0; o < c->n_threads; o++) {
+            if (o == tid) continue;
+            i64 r = c->t[o].thr[k] - total_usage(&c->t[o], k);
+            if (r > 0) reserved_unused += r;
+        }
+        return total_free - needed >= reserved_unused;
+    }
+    default:
+        return 1;
+    }
+}
+
 /* ---- one admission attempt for a candidate cluster ----
  * Returns -1 on success or the blocking CAUSE_* otherwise; transcribes
- * the unrolled per-cluster admission check in _slot_loop's rename
- * phase (alloc_trivial holds for every C policy, so may_alloc_reg
- * never appears). */
+ * the unrolled per-cluster admission check in the vectorized rename
+ * phase. */
 static i64 admission_try(cloop *c, i64 cl, i64 tid, i64 s1, i64 s2,
                          int both1, i64 scl1, int both2, i64 scl2,
                          i64 dest) {
@@ -1032,10 +1272,13 @@ static i64 admission_try(cloop *c, i64 cl, i64 tid, i64 s1, i64 s2,
     if (iqn1 && c->iq_cap[1] - c->iq_occ[1] < iqn1) return CAUSE_IQ;
     if (!c->dispatch_trivial && !may_dispatch_group(c, tid, iqn0, iqn1))
         return CAUSE_IQ;
-    if (rint && !c->files[cl][0].unbounded &&
-        c->files[cl][0].free_n < rint)
+    if (rint && ((!c->files[cl][0].unbounded &&
+                  c->files[cl][0].free_n < rint) ||
+                 !may_alloc_reg(c, tid, 0, cl, rint)))
         return CAUSE_RF_INT;
-    if (rfp && !c->files[cl][1].unbounded && c->files[cl][1].free_n < rfp)
+    if (rfp && ((!c->files[cl][1].unbounded &&
+                 c->files[cl][1].free_n < rfp) ||
+                !may_alloc_reg(c, tid, 1, cl, rfp)))
         return CAUSE_RF_FP;
     return -1;
 }
@@ -1089,6 +1332,14 @@ long long cloop_run(void *cp, i64 limit, i64 stop_mode, i64 commit_target,
         cycle = nxt;
         c->cycle = nxt;
 
+        /* policy tick (on_cycle) */
+        if (c->policy_kind == K_STALL) {
+            for (i64 ti = 0; ti < c->n_threads; ti++)
+                if (c->t[ti].gated) c->s_stalled++;
+        } else if (c->policy_kind == K_CDPRF) {
+            cdprf_on_cycle(c, cycle);
+        }
+
         /* ================= commit ================= */
         {
             i64 committed = 0;
@@ -1120,12 +1371,12 @@ long long cloop_run(void *cp, i64 limit, i64 stop_mode, i64 commit_target,
                         i64 k = c->p_destk[head];
                         i64 pp = c->p_pp[head];
                         if (pp >= 0) {
-                            free_phys(c, c->p_ppc[head], k, pp);
+                            free_phys(c, ti, c->p_ppc[head], k, pp);
                             if (c->err) return 4;
                         }
                         i64 pr = c->p_pr[head];
                         if (pr != -1) {
-                            free_phys(c, 1 - c->p_ppc[head], k, pr);
+                            free_phys(c, ti, 1 - c->p_ppc[head], k, pr);
                             if (c->err) return 4;
                         }
                     }
@@ -1189,7 +1440,13 @@ long long cloop_run(void *cp, i64 limit, i64 stop_mode, i64 commit_target,
                 for (i64 i = 0; i < c->pool[bi].n; i++) {
                     tctx *t = &c->t[c->pool[bi].d[i]];
                     t->l2_pending--;
-                    if (t->l2_pending == 0) t->first_l2_miss = -1;
+                    if (t->l2_pending == 0) {
+                        t->first_l2_miss = -1;
+                        /* on_l2_fill: Stall lifts its gate, Flush+ its
+                         * flush (only the owning policy sets either) */
+                        t->gated = 0;
+                        t->flushed = 0;
+                    }
                 }
                 pool_release(c, bi);
             }
@@ -1248,14 +1505,17 @@ long long cloop_run(void *cp, i64 limit, i64 stop_mode, i64 commit_target,
         }
 
         /* ================= issue ================= */
+        /* select first, execute afterwards (the reference's order): an
+         * on_l2_miss flush (Flush+) may squash uops already selected */
         i64 bits[2];
         for (int ci = 0; ci < 2; ci++) {
             int b0 = 0, b1 = 0, b2 = 0;
-            i64 n_issued = 0;
             vec *heap = &c->heap[ci];
             vec *def = &c->deferred[ci];
             vec *pass = &c->passed[ci];
+            vec *iss = &c->issued[ci];
             vec_reset(pass);
+            vec_reset(iss);
             i64 di = 0, dn = def->n;
             if (heap->n || dn) {
                 i64 scanned = 0;
@@ -1305,39 +1565,7 @@ long long cloop_run(void *cp, i64 limit, i64 stop_mode, i64 commit_target,
                         vec_push(pass, key);
                         continue;
                     }
-                    /* fused _start_execution (port claimed) */
-                    n_issued++;
-                    c->p_iss[sl] = 1;
-                    i64 tid = c->p_tid[sl];
-                    c->iq_pt[ci][tid]--;
-                    tctx *t = &c->t[tid];
-                    t->icount--;
-                    i64 opc = c->p_op[sl];
-                    i64 lat = c->p_lat[sl];
-                    if (opc == c->OP_LOAD) {
-                        i64 ml = c->p_ml[sl];
-                        if (imap_has(&c->mob_lines[tid], ml)) {
-                            c->mob_forwards++;
-                            lat += 1;
-                        } else {
-                            int l2m;
-                            lat += mem_access(c, ml, cycle, &l2m);
-                            if (l2m && !c->p_wp[sl]) {
-                                if (t->l2_pending == 0)
-                                    t->first_l2_miss = cycle;
-                                t->l2_pending++;
-                                wheel_push(c, &c->fill_map, cycle + lat,
-                                           tid);
-                            }
-                        }
-                    } else if (opc == c->OP_STORE) {
-                        int l2m;
-                        i64 ml = c->p_ml[sl];
-                        mem_access(c, ml, cycle, &l2m);
-                        c->p_mob[sl] = 2;
-                        mob_remember(c, tid, ml);
-                    }
-                    wheel_push(c, &c->ev_map, cycle + lat, key);
+                    vec_push(iss, key);   /* port claimed */
                 }
                 if (di || pass->n) {
                     vec *d2 = &c->defer2[ci];
@@ -1349,6 +1577,19 @@ long long cloop_run(void *cp, i64 limit, i64 stop_mode, i64 commit_target,
                     *def = *d2;
                     *d2 = tmp;
                 }
+            }
+            i64 n_issued = 0;
+            for (i64 i = 0; i < iss->n; i++) {
+                i64 key = iss->d[i];
+                i64 sl = key & SM;
+                if (c->p_sq[sl]) continue;  /* flushed this cycle */
+                c->p_iss[sl] = 1;
+                i64 tid = c->p_tid[sl];
+                c->iq_pt[ci][tid]--;
+                c->t[tid].icount--;
+                n_issued++;
+                start_exec(c, sl, key, cycle);
+                if (c->err) return 4;
             }
             if (n_issued) {
                 c->iq_occ[ci] -= n_issued;
@@ -1408,7 +1649,8 @@ _C_RUN2 = r"""
                     i64 ti = (prr + off) % c->n_threads;
                     if (excluded & (1LL << ti)) continue;
                     tctx *tt = &c->t[ti];
-                    if (tt->fq.n && tt->rbu <= cycle) {
+                    if (tt->fq.n && !tt->flushed && !tt->gated &&
+                        tt->rbu <= cycle) {
                         if (best < 0 || tt->icount < best_ic) {
                             best = ti;
                             best_ic = tt->icount;
@@ -1450,6 +1692,8 @@ _C_RUN2 = r"""
                         } else if (primary == CAUSE_RF_INT ||
                                    primary == CAUSE_RF_FP) {
                             c->rse[primary - CAUSE_RF_INT]++;
+                            if (c->policy_kind == K_CDPRF)   /* on_reg_stall */
+                                t->starved_now[primary - CAUSE_RF_INT] = 1;
                         }
                         break;
                     }
@@ -1558,8 +1802,11 @@ _C_RUN2 = r"""
                         c->rsc[primary]++;
                         if (primary == CAUSE_IQ) c->s_iq_block_stalls++;
                         else if (primary == CAUSE_RF_INT ||
-                                 primary == CAUSE_RF_FP)
+                                 primary == CAUSE_RF_FP) {
                             c->rse[primary - CAUSE_RF_INT]++;
+                            if (c->policy_kind == K_CDPRF)   /* on_reg_stall */
+                                t->starved_now[primary - CAUSE_RF_INT] = 1;
+                        }
                         if (c->memo_on) {
                             t->memo_entry = entry;
                             t->memo_gen = genm;
@@ -1589,6 +1836,7 @@ _C_RUN2 = r"""
                         c->p_done[sl] = 0;
                         c->p_misp[sl] = 0;
                         c->p_orph[sl] = 0;
+                        c->p_l2m[sl] = 0;
                     }
                     i64 wait = 0, w0 = -1, w1 = -1;
                     if (s1 >= 0) {
@@ -1643,7 +1891,7 @@ _C_RUN2 = r"""
 
                     if (dest >= 0) {
                         i64 k = c->p_destk[sl];
-                        i64 phys = rf_alloc(c, &c->files[chosen][k]);
+                        i64 phys = rf_alloc(c, tid, chosen, k);
                         if (c->err) return 4;
                         c->p_pd[sl] = phys;
                         c->p_pp[sl] = t->atph[dest];
@@ -1697,7 +1945,7 @@ _C_RUN2 = r"""
             i64 best = -1, best_len = -1;
             for (i64 ti = 0; ti < c->n_threads; ti++) {
                 tctx *tt = &c->t[ti];
-                if (tt->fbu <= cycle) {
+                if (tt->fbu <= cycle && !tt->flushed) {
                     i64 ql = tt->fq.n;
                     if (ql < c->fq_cap &&
                         (tt->wrong_path || tt->cursor < tt->n_records)) {
@@ -1750,6 +1998,7 @@ _C_RUN2 = r"""
                                 c->p_done[sl] = 0;
                                 c->p_misp[sl] = 0;
                                 c->p_orph[sl] = 0;
+                                c->p_l2m[sl] = 0;
                                 ring_push(&t->fq, (sl << 1) | 1);
                                 fetched++;
                             }
@@ -1796,6 +2045,7 @@ _C_RUN2 = r"""
                             c->p_done[sl] = 0;
                             c->p_misp[sl] = 0;
                             c->p_orph[sl] = 0;
+                            c->p_l2m[sl] = 0;
                             i64 ind = t->cind[cur];
                             i64 comp = t->ccomp[cur];
                             i64 pc = t->cpc[cur];
@@ -1863,10 +2113,15 @@ _C_RUN2 = r"""
                     b = c->t[ti].rbu;
                     if (cycle < b && b < h) h = b;
                 }
+                if (c->policy_kind == K_CDPRF) {
+                    /* never jump across an interval boundary */
+                    i64 b = cycle - cycle % c->interval + c->interval;
+                    if (b < h) h = b;
+                }
                 i64 wd = c->last_commit + c->watchdog + 1;
                 if (wd < h) h = wd;
                 i64 target = h - 1;
-                if (target > cycle) {
+                if (target > cycle && policy_ff_cycles(c, target - cycle)) {
                     i64 skipped = target - cycle;
                     cycle = target;
                     c->cycle = target;
@@ -1964,6 +2219,9 @@ void *cloop_new(const i64 *cfg, i64 cfg_len) {
     for (int i = 0; i < 4; i++) rf_caps[i] = cfg[q++];
     i64 rf_unbounded = cfg[q++];
     c->policy_rr = cfg[q++];
+    c->interval = cfg[q++];
+    c->rf_total[0] = cfg[q++];
+    c->rf_total[1] = cfg[q++];
 
     lru_init(&c->l1, l1_nsets, l1_assoc);
     lru_init(&c->l2, l2_nsets, l2_assoc);
@@ -2037,6 +2295,7 @@ void *cloop_new(const i64 *cfg, i64 cfg_len) {
     c->p_done = (u8 *)calloc((size_t)pool_cap, 1);
     c->p_misp = (u8 *)calloc((size_t)pool_cap, 1);
     c->p_orph = (u8 *)calloc((size_t)pool_cap, 1);
+    c->p_l2m = (u8 *)calloc((size_t)pool_cap, 1);
 
     c->t = (tctx *)calloc((size_t)c->n_threads, sizeof(tctx));
     for (i64 i = 0; i < c->n_threads; i++) {
@@ -2127,9 +2386,47 @@ void cloop_seed_ipred(void *cp, const i64 *targets, i64 n) {
     memcpy(c->ip_targets, targets, (size_t)n * sizeof(i64));
 }
 
+/* per-thread policy state, POLICY_STATE values per thread in this order
+ * (cloop_export appends the same values to each thread's block) */
+#define POLICY_STATE 14
+static i64 *policy_state(tctx *t, i64 *out) {
+    *out++ = t->gated;
+    *out++ = t->flushed;
+    for (int k = 0; k < 2; k++) {
+        *out++ = t->usage[k][0];
+        *out++ = t->usage[k][1];
+    }
+    for (int k = 0; k < 2; k++) {
+        *out++ = t->thr[k];
+        *out++ = t->rfoc[k];
+        *out++ = t->starv[k];
+        *out++ = t->starved_now[k];
+    }
+    return out;
+}
+
+void cloop_seed_policy(void *cp, const i64 *v) {
+    cloop *c = (cloop *)cp;
+    for (i64 ti = 0; ti < c->n_threads; ti++) {
+        tctx *t = &c->t[ti];
+        t->gated = *v++;
+        t->flushed = *v++;
+        for (int k = 0; k < 2; k++) {
+            t->usage[k][0] = *v++;
+            t->usage[k][1] = *v++;
+        }
+        for (int k = 0; k < 2; k++) {
+            t->thr[k] = *v++;
+            t->rfoc[k] = *v++;
+            t->starv[k] = *v++;
+            t->starved_now[k] = *v++;
+        }
+    }
+}
+
 long long cloop_export(void *cp, i64 *out, i64 cap) {
     cloop *c = (cloop *)cp;
-    i64 need = 88 + 17 * c->n_threads;
+    i64 need = 90 + (17 + POLICY_STATE) * c->n_threads;
     if (cap < need) return -1;
     i64 q = 0;
     out[q++] = c->cycle;
@@ -2163,6 +2460,8 @@ long long cloop_export(void *cp, i64 *out, i64 cap) {
         for (int j = 0; j < 2; j++) out[q++] = c->imb[i][j];
     out[q++] = c->s_imb_cycles;
     out[q++] = c->s_issue_cycles;
+    out[q++] = c->s_flushes;
+    out[q++] = c->s_stalled;
     out[q++] = c->l1.hits;
     out[q++] = c->l1.misses;
     out[q++] = c->l1.evictions;
@@ -2222,6 +2521,7 @@ long long cloop_export(void *cp, i64 *out, i64 cap) {
         out[q++] = c->iq_pt[0][ti];
         out[q++] = c->iq_pt[1][ti];
         out[q++] = c->mob_pt[ti];
+        q = policy_state(t, out + q) - out;
     }
     return q;
 }
@@ -2240,6 +2540,7 @@ void cloop_reset_stats(void *cp) {
     for (int i = 0; i < 3; i++)
         for (int j = 0; j < 2; j++) c->imb[i][j] = 0;
     c->s_imb_cycles = c->s_issue_cycles = 0;
+    c->s_flushes = c->s_stalled = 0;
     for (i64 i = 0; i < c->n_threads; i++) c->cpt[i] = 0;
     c->l1.hits = c->l1.misses = c->l1.evictions = 0;
     c->l2.hits = c->l2.misses = c->l2.evictions = 0;
@@ -2298,11 +2599,13 @@ void cloop_free(void *cp) {
     free(c->p_wc); free(c->p_mob); free(c->p_w0); free(c->p_w1);
     free(c->p_destk); free(c->p_pcls); free(c->p_wp); free(c->p_iss);
     free(c->p_sq); free(c->p_done); free(c->p_misp); free(c->p_orph);
+    free(c->p_l2m);
     for (int ci = 0; ci < 2; ci++) {
         vec_destroy(&c->heap[ci]);
         vec_destroy(&c->deferred[ci]);
         vec_destroy(&c->defer2[ci]);
         vec_destroy(&c->passed[ci]);
+        vec_destroy(&c->issued[ci]);
     }
     for (i64 i = 0; i < c->n_threads; i++) {
         tctx *t = &c->t[i];
@@ -2391,7 +2694,8 @@ class _CloopContext:
         self._lib = lib
         self._ffi = ffi
         self._n_threads = proc._n_threads
-        self._need = 88 + 17 * proc._n_threads
+        self._need = 90 + (17 + _POLICY_STATE) * proc._n_threads
+        self._kind = _C_POLICY_KINDS[type(proc.policy)]
         self._out = ffi.new("long long[]", self._need)
         #: (fq_len, inflight_len, rob_len) per thread from the last
         #: export — feeds the deadlock report, mirroring the Python
@@ -2400,6 +2704,8 @@ class _CloopContext:
 
         mem = proc.mem
         tc = proc.tc
+        policy = proc.policy
+        cdprf = self._kind == _CDPRF
         cfg = [
             proc._n_threads,
             proc._fetch_width,
@@ -2421,7 +2727,7 @@ class _CloopContext:
             NUM_ARCH_INT,
             NUM_ARCH_REGS,
             proc.steering.imbalance_threshold,
-            _C_POLICY_KINDS[type(proc.policy)],
+            self._kind,
             int(proc._dispatch_trivial),
             int(proc._memo_on),
             int(proc._forced_cluster is not None),
@@ -2463,7 +2769,9 @@ class _CloopContext:
                 for k in (0, 1)
             ),
             int(proc.clusters[0].regs.files[0].unbounded),
-            proc.policy._rr,
+            policy._rr,
+            policy.interval if cdprf else 0,
+            *(policy._totals if cdprf else (0, 0)),
         ]
         cfg_arr = ffi.new("long long[]", [int(v) for v in cfg])
         self.c = ffi.gc(lib.cloop_new(cfg_arr, len(cfg)), lib.cloop_free)
@@ -2508,6 +2816,52 @@ class _CloopContext:
             ffi.new("long long[]", ip._targets),
             ip.size,
         )
+        lib.cloop_seed_policy(
+            self.c, ffi.new("long long[]", self._policy_state(proc))
+        )
+
+    def _policy_state(self, proc) -> list[int]:
+        """Each thread's policy state in ``cloop_seed_policy`` order:
+        gates, registers held per (class, cluster), then per class the
+        CDPRF threshold, RFOC, Starvation and pending-starvation flag
+        (zeros where the policy keeps no such state)."""
+        policy = proc.policy
+        vals = []
+        for tid, t in enumerate(proc.threads):
+            vals += (t.gated, t.flushed)
+            for k in (0, 1):
+                if self._kind in _REG_METERED:
+                    vals += policy.reg_usage[tid][k]
+                else:
+                    vals += (0, 0)
+            for k in (0, 1):
+                if self._kind == _CDPRF:
+                    vals += (
+                        policy.threshold[tid][k],
+                        policy.rfoc[tid][k],
+                        policy.starvation[tid][k],
+                        policy._starved_now[tid][k],
+                    )
+                else:
+                    vals += (0, 0, 0, 0)
+        return [int(v) for v in vals]
+
+    def _set_policy_state(self, proc, tid: int, vals) -> None:
+        """Inverse of :meth:`_policy_state` for one thread."""
+        t = proc.threads[tid]
+        t.gated = bool(vals[0])
+        t.flushed = bool(vals[1])
+        policy = proc.policy
+        if self._kind in _REG_METERED:
+            for k in (0, 1):
+                policy.reg_usage[tid][k][:] = vals[2 + 2 * k : 4 + 2 * k]
+        if self._kind == _CDPRF:
+            for k in (0, 1):
+                thr, rfoc, starv, pending = vals[6 + 4 * k : 10 + 4 * k]
+                policy.threshold[tid][k] = thr
+                policy.rfoc[tid][k] = rfoc
+                policy.starvation[tid][k] = starv
+                policy._starved_now[tid][k] = bool(pending)
 
     def _seed_lru(self, which: int, store) -> None:
         sets = store._sets
@@ -2537,6 +2891,10 @@ class _CloopContext:
 
     def err(self, which: int) -> int:
         return self._lib.cloop_err(self.c, which)
+
+    def free(self) -> None:
+        """Free the C machine now rather than at garbage collection."""
+        self._ffi.release(self.c)
 
     def reset_stats(self) -> None:
         self._lib.cloop_reset_stats(self.c)
@@ -2603,6 +2961,7 @@ class _CloopContext:
             s.imbalance[pcls][0] = imb[2 * pcls]
             s.imbalance[pcls][1] = imb[2 * pcls + 1]
         s.imbalance_cycles, s.issue_cycles = take(2)
+        s.flushes, s.stalled_thread_cycles = take(2)
 
         mem = proc.mem
         tc = proc.tc
@@ -2657,19 +3016,21 @@ class _CloopContext:
             proc.clusters[1].iq.per_thread[ti] = iq1
             mob.per_thread[ti] = mob_pt
             self.last_queues.append((fq_len, infl_len, rob_len))
+            self._set_policy_state(proc, ti, take(_POLICY_STATE))
 
 
 class CloopProcessor(CompiledProcessor):
     """The whole-cycle-loop compiled backend (``cloop``).
 
-    Inside the C envelope — the slot-pool envelope (no telemetry, no
-    live hooks, inlinable or forced steering) *plus* an exactly-matched
-    C-table policy — the entire simulation runs as bounded regions
-    inside one resident kernel, and Python re-enters only at region
-    boundaries.  Outside the envelope every entry point delegates to
-    the inherited ``compiled`` chain, so ablation subclasses, telemetry
-    runs and adaptive policies remain bit-identical through the proven
-    engines.
+    Inside the C envelope — no telemetry, inlinable or forced steering,
+    two clusters and a policy whose exact type is in the C table (all
+    ten of the paper's schemes) — the entire simulation runs as bounded
+    regions inside one resident kernel, and Python re-enters only at
+    region boundaries, where the policy's state and the threads' gates
+    are exported with the counters.  Outside the envelope (telemetry
+    runs, DCRA, hill-climbing, policy subclasses, steering ablations;
+    ``_cl_error`` says which) every entry point delegates to the
+    inherited engine chain, bit-identically.
 
     Mid-run fallback is sticky by construction: the C context can only
     be adopted on a completely fresh machine (cycle 0, zero stats), so
@@ -2683,17 +3044,28 @@ class CloopProcessor(CompiledProcessor):
         super().__init__(
             config, policy, traces, steering=steering, telemetry=telemetry
         )
-        self._cloop_ok = (
-            self._soa_ok
-            and self._icount_select
-            and len(self.clusters) == 2
-            and type(policy) in _C_POLICY_KINDS
-        )
         self._cl = None
         self._cl_failed = False
-        self._cl_error: str | None = None
+        self._released = False
+        #: why this machine runs on the Python engine (None: it does not,
+        #: or the kernel has not been tried yet)
+        self._cl_error: str | None = self._envelope_error()
+        self._cloop_ok = self._cl_error is None
         #: region exit tallies: {"limit": n, "done": n, "watchdog": n}
         self.region_exits = {REGION_LIMIT: 0, REGION_DONE: 0, "watchdog": 0}
+
+    def _envelope_error(self) -> str | None:
+        """Why this machine is outside the C envelope (None: inside)."""
+        if self.tel is not None:
+            return "telemetry attached: the kernel has no sampler hooks"
+        policy = type(self.policy)
+        if policy not in _C_POLICY_KINDS or not self._icount_select:
+            return f"policy {policy.__name__} is not in the C policy table"
+        if len(self.clusters) != 2:
+            return "the kernel models exactly two clusters"
+        if not (self._steer_inline or self._forced_cluster is not None):
+            return f"steering {type(self.steering).__name__} is not inlinable"
+        return None
 
     # -- kernel lifecycle ---------------------------------------------- #
 
@@ -2701,7 +3073,7 @@ class CloopProcessor(CompiledProcessor):
         """Adopt (or reuse) the resident C machine; False = fall back."""
         if self._cl is not None:
             return True
-        if self._cl_failed:
+        if self._cl_failed or self._released:
             return False
         reason = kernel_unavailable_reason()
         if reason is not None:
@@ -2726,26 +3098,47 @@ class CloopProcessor(CompiledProcessor):
 
     def kernel_active(self) -> bool:
         """True when the whole-loop C kernel (not a fallback) is in use."""
-        if self._cloop_ok and self._ensure_ctx():
-            return True
-        return super().kernel_active()
+        return self._cloop_ok and self._ensure_ctx()
+
+    def release(self) -> None:
+        """Free the resident C machine now that the run is over.
+
+        The ``proc.policy`` / ``policy.proc`` cycle would otherwise keep
+        the machine's C memory until a full collection.  The calling
+        thread's previous released context is freed here and this one is
+        held in its place, so the next machine's allocations reuse pages
+        that are still mapped.  A released machine refuses to run again.
+        """
+        self._released = True
+        cl, self._cl = self._cl, None
+        if cl is not None:
+            prev = getattr(_held, "ctx", None)
+            _held.ctx = cl
+            if prev is not None:
+                prev.free()
 
     # -- entry points (the backend seam) -------------------------------- #
 
+    def _in_kernel(self) -> bool:
+        """Route an entry point: True = C kernel, False = fallback chain."""
+        if self._released:
+            raise RuntimeError("machine was released at the end of its run")
+        return self._cloop_ok and self._ensure_ctx()
+
     def run_loop(self, limit, stop="first_done", use_ff=True, commit_target=None):
-        if not self._cloop_ok or not self._ensure_ctx():
+        if not self._in_kernel():
             return super().run_loop(
                 limit, stop=stop, use_ff=use_ff, commit_target=commit_target
             )
         self._region(limit, _STOP_CODES[stop], use_ff, commit_target, False)
 
     def step(self) -> None:
-        if not self._cloop_ok or not self._ensure_ctx():
+        if not self._in_kernel():
             return super().step()
         self._region(self.cycle + 1, _STOP_CODES["cycles"], False, None, True)
 
     def step_fast(self, limit: int) -> None:
-        if not self._cloop_ok or not self._ensure_ctx():
+        if not self._in_kernel():
             return super().step_fast(limit)
         self._region(limit, _STOP_CODES["cycles"], True, None, True)
 
@@ -2770,7 +3163,7 @@ class CloopProcessor(CompiledProcessor):
         if stop not in _STOP_CODES:
             raise ValueError(f"unknown stop mode {stop!r}")
         limit = self.cycle + n
-        if self._cloop_ok and self._ensure_ctx():
+        if self._in_kernel():
             return self._region(limit, _STOP_CODES[stop], use_ff, None, False)
         while self.cycle < limit:
             if stop == "first_done" and self.finished_count > 0:
@@ -2831,6 +3224,8 @@ class CloopProcessor(CompiledProcessor):
                 raise AssertionError(
                     "right-path uops squashed by a branch resolution"
                 )
+            if err == 7:
+                raise AssertionError("register double-free")
             raise RuntimeError(f"cloop kernel error {err} (arg {erra})")
         reason = REGION_DONE if rc == 1 else REGION_LIMIT
         self.region_exits[reason] += 1

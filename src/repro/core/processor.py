@@ -370,6 +370,10 @@ class Processor:
         self.ff_jumps += 1
         self.ff_skipped_cycles += skipped
 
+    def release(self) -> None:
+        """End of run: free resources the engine holds outside Python
+        objects.  The Python engines hold none; see ``CloopProcessor``."""
+
     def note_admission_change(self) -> None:
         """A policy mutated state its admission checks read (e.g. a CDPRF
         re-partition); invalidates memoized failed-rename decisions."""

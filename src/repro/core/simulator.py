@@ -122,14 +122,16 @@ def run_simulation(
     if prewarm_caches:
         proc.prewarm_caches()
 
-    t0 = time.perf_counter()
-    if warmup_uops > 0:
-        proc.run_loop(max_cycles, use_ff=use_ff, commit_target=warmup_uops)
-        proc.reset_measurement()
-    proc.run_loop(max_cycles, stop=stop, use_ff=use_ff)
-    wall = time.perf_counter() - t0
-
-    stats: SimStats = proc.finalize_stats()
+    try:
+        t0 = time.perf_counter()
+        if warmup_uops > 0:
+            proc.run_loop(max_cycles, use_ff=use_ff, commit_target=warmup_uops)
+            proc.reset_measurement()
+        proc.run_loop(max_cycles, stop=stop, use_ff=use_ff)
+        wall = time.perf_counter() - t0
+        stats: SimStats = proc.finalize_stats()
+    finally:
+        proc.release()  # the machine is done; the stats are Python objects
     return SimResult(
         policy=policy.name,
         workload=workload_name or "+".join(t.name for t in traces),

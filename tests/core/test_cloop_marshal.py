@@ -7,8 +7,8 @@ things the identity suites cannot see on their own:
 
 * the block holds exactly the values of the slot engine's per-thread
   columns (``_slot_cols``), which the Python fallback still runs on;
-* every C-table policy really adopts the kernel — a silent fallback
-  would pass the identity suites too, only slower;
+* every one of the paper's ten schemes really adopts the kernel — a
+  silent fallback would pass the identity suites too, only slower;
 * a broken block fails the run instead of falling back.
 """
 
@@ -24,7 +24,11 @@ from repro.core.backends import make_processor
 from repro.core.simulator import run_simulation
 from repro.policies import make_policy
 
-C_TABLE_POLICIES = ["icount", "cisp", "cssp", "cspsp", "pc"]
+#: the paper's ten schemes, all in the C policy table
+C_TABLE_POLICIES = [
+    "icount", "cisp", "cssp", "cspsp", "pc",
+    "stall", "flush+", "cssprf", "cisprf", "cdprf",
+]
 
 
 def test_trace_block_matches_slot_columns(config, feature_trace):
