@@ -216,7 +216,7 @@ def bench_cycle_loop_mem_bound_vectorized(benchmark, speed_log):
 
 def _identity_run(proc_cls, config, policy_name, traces, max_cycles):
     """Final stats of one run — the in-bench identity oracle for the
-    slot-pool benches below (vectorized is itself gated bit-identical to
+    ``cloop`` benches below (vectorized is itself gated bit-identical to
     the reference interpreter by the identity suite)."""
     kw = {"interval": 1024} if policy_name == "cdprf" else {}
     proc = proc_cls(config, make_policy(policy_name, **kw), traces)
@@ -224,21 +224,19 @@ def _identity_run(proc_cls, config, policy_name, traces, max_cycles):
     return proc.finalize_stats().as_dict()
 
 
-def _bench_slot_pool(benchmark, speed_log, backend, name, policy_name, traces,
-                     max_cycles):
-    """Shared body of the ``cycle_loop_*_{numpy,compiled}`` benches: time
-    the engine, then assert its stats are identical to the flattened
+def _bench_cloop(benchmark, speed_log, name, policy_name, traces, max_cycles):
+    """Shared body of the ``cycle_loop_*_cloop`` benches: time the
+    engine, then assert its stats are identical to the flattened
     engine's on the same scenario (a bench that silently diverged would
     record a meaningless speedup)."""
-    from repro.core.backends import processor_class
+    from repro.core.cloop import CloopProcessor
     from repro.core.vectorized import VectorizedProcessor
 
     config = baseline_config()
-    proc_cls = processor_class(backend)
     kw = {"interval": 1024} if policy_name == "cdprf" else {}
 
     def run():
-        proc = proc_cls(config, make_policy(policy_name, **kw), traces)
+        proc = CloopProcessor(config, make_policy(policy_name, **kw), traces)
         proc.run_loop(max_cycles)
         return proc
 
@@ -247,70 +245,29 @@ def _bench_slot_pool(benchmark, speed_log, backend, name, policy_name, traces,
     expect = _identity_run(VectorizedProcessor, config, policy_name, traces,
                            max_cycles)
     assert proc.finalize_stats().as_dict() == expect, (
-        f"{backend} diverged from vectorized on {name}"
+        f"cloop diverged from vectorized on {name}"
     )
     _record(speed_log, name, benchmark)
-
-
-def bench_cycle_loop_icount_numpy(benchmark, speed_log):
-    """The ILP pair on the batched slot-pool engine; the ratio to
-    ``cycle_loop_icount_vectorized`` is the engine's relative speed on
-    short-queue compute-dense runs."""
-    _bench_slot_pool(benchmark, speed_log, "numpy", "cycle_loop_icount_numpy",
-                     "icount", _traces(), 100_000)
-
-
-def bench_cycle_loop_icount_compiled(benchmark, speed_log):
-    """The ILP pair with the cffi wakeup/select kernel (falls back to the
-    pure kernel when the toolchain is unavailable — the recorded mean then
-    documents the fallback, not the kernel)."""
-    _bench_slot_pool(benchmark, speed_log, "compiled",
-                     "cycle_loop_icount_compiled", "icount", _traces(), 100_000)
-
-
-def bench_cycle_loop_mem_bound_numpy(benchmark, speed_log):
-    _bench_slot_pool(benchmark, speed_log, "numpy",
-                     "cycle_loop_mem_bound_numpy", "icount", _mem_traces(),
-                     200_000)
-
-
-def bench_cycle_loop_mem_bound_compiled(benchmark, speed_log):
-    """Stall-heavy runs keep the ready queues long, which is where the C
-    scan pays for its per-cycle FFI boundary."""
-    _bench_slot_pool(benchmark, speed_log, "compiled",
-                     "cycle_loop_mem_bound_compiled", "icount", _mem_traces(),
-                     200_000)
 
 
 def bench_cycle_loop_icount_cloop(benchmark, speed_log):
     """The ILP pair with the whole cycle loop resident in C; the ratio to
     ``cycle_loop_icount_vectorized`` is the tentpole number for the
     whole-loop engine (ISSUE 10 target: >=3x)."""
-    _bench_slot_pool(benchmark, speed_log, "cloop", "cycle_loop_icount_cloop",
-                     "icount", _traces(), 100_000)
+    _bench_cloop(benchmark, speed_log, "cycle_loop_icount_cloop", "icount",
+                 _traces(), 100_000)
 
 
 def bench_cycle_loop_mem_bound_cloop(benchmark, speed_log):
-    _bench_slot_pool(benchmark, speed_log, "cloop",
-                     "cycle_loop_mem_bound_cloop", "icount", _mem_traces(),
-                     200_000)
+    _bench_cloop(benchmark, speed_log, "cycle_loop_mem_bound_cloop", "icount",
+                 _mem_traces(), 200_000)
 
 
 def bench_cycle_loop_cdprf_cloop(benchmark, speed_log):
     """CDPRF with its register rules, counters and interval ends running
     in the C policy table (the identity assert below covers them)."""
-    _bench_slot_pool(benchmark, speed_log, "cloop", "cycle_loop_cdprf_cloop",
-                     "cdprf", _traces(), 100_000)
-
-
-def bench_cycle_loop_cdprf_numpy(benchmark, speed_log):
-    _bench_slot_pool(benchmark, speed_log, "numpy", "cycle_loop_cdprf_numpy",
-                     "cdprf", _traces(), 100_000)
-
-
-def bench_cycle_loop_cdprf_compiled(benchmark, speed_log):
-    _bench_slot_pool(benchmark, speed_log, "compiled",
-                     "cycle_loop_cdprf_compiled", "cdprf", _traces(), 100_000)
+    _bench_cloop(benchmark, speed_log, "cycle_loop_cdprf_cloop", "cdprf",
+                 _traces(), 100_000)
 
 
 def bench_cycle_loop_ff_on(benchmark, speed_log):

@@ -19,10 +19,10 @@ re-entered Python and why.
 Examples::
 
     python scripts/profile_sim.py                         # vectorized icount/ilp
-    python scripts/profile_sim.py --backend compiled --policy cdprf
+    python scripts/profile_sim.py --backend cloop --policy cdprf
     python scripts/profile_sim.py --kind mem --max-cycles 200000 --top 40
     python scripts/profile_sim.py --compare               # all backends, side by side
-    python scripts/profile_sim.py --compare vectorized,numpy,compiled --kind mem
+    python scripts/profile_sim.py --compare vectorized,cloop --kind mem
     python scripts/profile_sim.py --line                  # needs line_profiler
 """
 
@@ -81,7 +81,7 @@ def line_profile(args, run) -> int:
             file=sys.stderr,
         )
         return 2
-    from repro.core import npengine, processor, vectorized
+    from repro.core import processor, vectorized
 
     lp = LineProfiler()
     backend = resolve_backend(args.backend)
@@ -95,8 +95,6 @@ def line_profile(args, run) -> int:
         lp.add_function(cloop_mod.CloopProcessor._region)
         lp.add_function(cloop_mod._CloopContext.__init__)
         lp.add_function(cloop_mod._CloopContext.export)
-    elif backend in ("numpy", "compiled"):
-        lp.add_function(npengine.NumpyProcessor._slot_loop)
     else:
         for fn in (
             processor.Processor.step_fast,

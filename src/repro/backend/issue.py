@@ -140,21 +140,6 @@ class IssueQueue:
             self._deferred = passed + deferred[di:]
         return issued, passed
 
-    def packed_queues(self) -> tuple[list, list]:
-        """Array-layout binding point for the slot-SoA engines.
-
-        Returns ``(ready_heap, deferred_list)`` — the same two containers
-        :meth:`select` merges — for an engine that stores packed
-        ``(age << SLOT_BITS) | slot`` integer keys instead of
-        ``(age, Uop)`` tuples.  Key order is identical (ages are globally
-        unique, so the slot low bits never decide a comparison), and lazy
-        deletion works by validating the key's age against the slot
-        pool's ``age`` column.  An engine that adopts the queues through
-        this accessor must not also call the object-entry methods
-        (:meth:`dispatch`/:meth:`wake`/:meth:`select`) on this queue.
-        """
-        return self._ready, self._deferred
-
     def ready_uops(self) -> Iterator["Uop"]:
         """Live ready uops (tests/diagnostics; order unspecified)."""
         for _, uop in self._ready:

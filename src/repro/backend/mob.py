@@ -38,15 +38,6 @@ class MemoryOrderBuffer:
     def free_entries(self) -> int:
         return self.capacity - self.occupancy
 
-    def line_tables(self) -> list[dict[int, int]]:
-        """Array-layout binding point for the slot-SoA engines: the
-        per-thread ``{mem_line: executed-store count}`` forwarding
-        tables.  An engine that updates these directly (with the
-        occupancy/``per_thread``/``peak`` counters) must keep the same
-        marker discipline in its own ``mob_index`` column: 1 = entry
-        held, 2 = executed store, -1 = free."""
-        return self._entries
-
     def can_alloc(self) -> bool:
         return self.occupancy < self.capacity
 

@@ -93,20 +93,6 @@ class PhysRegFile:
         self._free.append(phys)
         self.in_use -= 1
 
-    def free_ready_arrays(self) -> tuple[list, bytearray]:
-        """Array-layout binding point for the slot-SoA engines.
-
-        Returns ``(free_list, ready_bytearray)`` — the LIFO free stack
-        and the per-phys readiness flags — so an engine can inline
-        allocation (``free_list.pop()`` + counter updates, exactly what
-        :meth:`alloc`'s fast path does) and readiness tests without a
-        method call per event.  Waiter bookkeeping stays with the caller:
-        a slot engine keeps its own ``{phys: [slot]}`` tables and must
-        leave :attr:`_waiters` empty.  Growth of an unbounded file
-        mutates both containers in place, so the references stay valid.
-        """
-        return self._free, self._ready
-
     def is_ready(self, phys: int) -> bool:
         return bool(self._ready[phys])
 

@@ -34,13 +34,6 @@ class ReorderBuffer:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def entries(self) -> deque:
-        """Array-layout binding point for the slot-SoA engines: the raw
-        rename-order deque.  A slot engine stores integer slot indices in
-        it (age order is preserved — rename order IS age order), keeps
-        :attr:`peak` updated itself, and must not mix object entries in."""
-        return self._entries
-
     @property
     def free_entries(self) -> int:
         return self.capacity - len(self._entries)

@@ -16,24 +16,15 @@ Registered engines:
 ``vectorized``
     the flattened SoA engine (the default): one function, precomputed
     trace columns, object-per-uop in-flight state.
-``numpy``
-    the batched slot-pool engine: in-flight uops live in
-    :class:`~repro.core.soa.PipelineSoA` columns, no ``Uop`` objects on
-    the fast path (:mod:`repro.core.npengine`).
-``compiled``
-    the slot-pool engine with its wakeup/select inner kernel compiled
-    to C on demand via cffi (:mod:`repro.core.ckernel`).  The kernel is
-    a *soft* dependency: when cffi or a C compiler is missing — or
-    ``REPRO_NO_CKERNEL`` is set — the backend silently runs the pure
-    Python kernel and remains bit-identical.
 ``cloop``
     the whole-loop compiled engine: the entire cycle loop runs in one
-    resident C kernel against the slot-pool columns, re-entering Python
+    resident C kernel over a recycled slot pool, re-entering Python
     only at observable-event boundaries (:mod:`repro.core.cloop`).
     All ten of the paper's schemes run natively in a C policy table;
     telemetry runs, DCRA, hill-climbing, policy subclasses, steering
-    ablations and any environment without the toolchain delegate to the
-    ``compiled``/``numpy`` chain, bit-identical.
+    ablations and any environment without the toolchain (cffi and a C
+    compiler, built on demand by :mod:`repro.core.ckernel`) run on the
+    inherited ``vectorized`` engine instead, bit-identical.
 
 Selection precedence: explicit ``backend=`` argument >
 ``REPRO_BACKEND`` environment variable > :data:`DEFAULT_BACKEND`.
@@ -54,12 +45,12 @@ if TYPE_CHECKING:  # pragma: no cover
 _ENV_VAR = "REPRO_BACKEND"
 
 #: Registered backend names, in oracle-to-fastest order.
-BACKENDS: tuple[str, ...] = ("reference", "vectorized", "numpy", "compiled", "cloop")
+BACKENDS: tuple[str, ...] = ("reference", "vectorized", "cloop")
 
 #: Backends whose full speed depends on an optional toolchain; they
 #: still *run* without it (pure-Python fallback), but selection errors
 #: report the degradation so users aren't surprised by the numbers.
-OPTIONAL_BACKENDS: tuple[str, ...] = ("compiled", "cloop")
+OPTIONAL_BACKENDS: tuple[str, ...] = ("cloop",)
 
 DEFAULT_BACKEND = "vectorized"
 
@@ -73,8 +64,7 @@ def optional_backend_notes() -> dict[str, str]:
 
     reason = kernel_unavailable_reason()
     if reason:
-        notes["compiled"] = f"runs with pure-Python kernel: {reason}"
-        notes["cloop"] = f"runs on the pure slot-pool engine: {reason}"
+        notes["cloop"] = f"runs on the vectorized engine: {reason}"
     return notes
 
 
@@ -122,14 +112,6 @@ def processor_class(backend: str) -> "type[Processor]":
         from repro.core.vectorized import VectorizedProcessor
 
         return VectorizedProcessor
-    if backend == "numpy":
-        from repro.core.npengine import NumpyProcessor
-
-        return NumpyProcessor
-    if backend == "compiled":
-        from repro.core.npengine import CompiledProcessor
-
-        return CompiledProcessor
     if backend == "cloop":
         from repro.core.cloop import CloopProcessor
 

@@ -13,9 +13,10 @@ express.
 
 Identity is by construction, the same way every other backend earns it:
 the C kernel is an operation-for-operation transcription of the
-slot-pool engine (:mod:`repro.core.npengine`), which is itself a
-transcription of the vectorized loop, which transcribes the reference
-interpreter.  The transcription preserves
+``vectorized`` loop (:mod:`repro.core.vectorized`), which transcribes
+the reference interpreter.  One representation changes: an in-flight
+uop is an integer slot in a recycled pool of parallel columns rather
+than a ``Uop`` object.  The transcription preserves
 
 * the exact phase order (commit, writeback, fills, copy delivery,
   issue, imbalance probe, rename, fetch, watchdog, jump) and every
@@ -45,9 +46,8 @@ Python policies and the ``vectorized`` engine's hook call sites:
   Starvation/RFOC tick and interval end (which no fast-forward jump
   crosses).
 
-The table matches exact types.  What still runs on the Python engines,
-through the inherited ``compiled``/``numpy``/``vectorized`` chain, and
-why (``_cl_error`` names the reason):
+The table matches exact types.  What still runs on the inherited
+``vectorized`` engine, and why (``_cl_error`` names the reason):
 
 * telemetry runs — the kernel has no sampler or event hooks;
 * DCRA and hill-climbing — adaptive policies whose per-cycle state the
@@ -64,9 +64,9 @@ frees the C machine once it has the stats
 (:meth:`CloopProcessor.release`).  The kernel is a soft
 dependency with the established discipline: built on demand with cffi
 and a content-hashed persistent cache (:mod:`repro.core.ckernel`), and
-``REPRO_NO_CKERNEL`` / no cffi / no C compiler falls back to the pure
-slot-pool engine, bit-identical, with the reason surfaced by
-:func:`repro.core.ckernel.kernel_unavailable_reason`.
+``REPRO_NO_CKERNEL`` / no cffi / no C compiler / a failed build falls
+back to the ``vectorized`` engine, bit-identical, with the reason
+surfaced by :func:`repro.core.ckernel.kernel_unavailable_reason`.
 """
 
 from __future__ import annotations
@@ -76,11 +76,17 @@ from itertools import chain
 
 import numpy as np
 
+from repro.core import ckernel
 from repro.core.ckernel import kernel_unavailable_reason, load_shared_lib
-from repro.core.npengine import CompiledProcessor
 from repro.core.processor import _WATCHDOG_CYCLES, DeadlockError
-from repro.core.soa import SLOT_BITS, static_arrays
-from repro.core.vectorized import _BRANCH, _COPY, _LOAD, _STORE
+from repro.core.soa import static_arrays
+from repro.core.vectorized import (
+    _BRANCH,
+    _COPY,
+    _LOAD,
+    _STORE,
+    VectorizedProcessor,
+)
 from repro.isa import NUM_ARCH_INT, NUM_ARCH_REGS
 from repro.isa.uops import PORT_CLASS_TABLE
 from repro.policies.cdprf import CDPRFPolicy
@@ -94,6 +100,10 @@ from repro.policies.static_partition import (
     CSSPPolicy,
     PrivateClustersPolicy,
 )
+
+#: bits of a packed ``(age << SLOT_BITS) | slot`` key reserved for the
+#: slot index; the high bits carry the uop age, so keys sort by age
+SLOT_BITS = 20
 
 #: region exit reasons returned by :meth:`CloopProcessor.run_cycles`
 REGION_LIMIT = "limit"
@@ -788,7 +798,7 @@ static void mob_forget(cloop *c, i64 tid, i64 line) {
     else imap_put(&c->mob_lines[tid], line, n - 1);
 }
 
-/* ---- slot pool growth (PipelineSoA.grow) ---- */
+/* ---- slot pool growth (doubling) ---- */
 static i64 pgrow_i64(i64 *old, i64 ocap, i64 ncap, i64 fill, i64 **out) {
     i64 *nd = (i64 *)malloc((size_t)ncap * sizeof(i64));
     memcpy(nd, old, (size_t)ocap * sizeof(i64));
@@ -1290,7 +1300,7 @@ static i64 admission_try(cloop *c, i64 cl, i64 tid, i64 s1, i64 s2,
 _C_RUN = r"""
 /* Run cycles until limit / the stop condition (one cycle when single).
  * Exit codes: 0 = limit, 1 = stop condition ("done"), 2 = watchdog,
- * 3 = pool past MAX_SLOTS, 4 = machine invariant error (see err). */
+ * 3 = pool past max_slots, 4 = machine invariant error (see err). */
 long long cloop_run(void *cp, i64 limit, i64 stop_mode, i64 commit_target,
                     i64 use_ff, i64 single) {
     cloop *c = (cloop *)cp;
@@ -2637,15 +2647,16 @@ def _trace_block(trace, mem_offset: int, latency) -> np.ndarray:
 
     Built in bulk from ``trace.records``: the thread's address-space
     offset is folded into ``mem_line`` and ``latency`` (the machine's
-    per-class table) is applied per record.  The values are those of the
-    slot engine's per-thread fetch columns, which the Python fallback
-    still reads.  Built per machine and dropped once the kernel has
+    per-class table) is applied per record.  The values are those the
+    Python engines read one record at a time (``Trace.columns()``,
+    :func:`~repro.core.soa.thread_mem_lines`, ``TraceSoA.plain``, the
+    latency table).  Built per machine and dropped once the kernel has
     copied it: caching it on the trace would keep 15 int64 words per
     record resident.
     """
     rec = np.asarray(trace.records)  # a plain view of a memory-mapped trace
     opclass = rec["opclass"]
-    plain, next_slow, _is_mem, dest_class, port_class = static_arrays(rec)
+    plain, next_slow, dest_class, port_class = static_arrays(rec)
     block = np.empty((_TRACE_ROWS, len(rec)), dtype=np.int64)
     block[0] = opclass
     block[1] = rec["dest"]
@@ -2678,17 +2689,27 @@ class _CloopContext:
     exactly the region contract documented on :class:`CloopProcessor`.
     """
 
-    #: (lib, ffi) memoized per process — the build is content-hashed and
-    #: cached on disk, but cdef+dlopen still cost ~ms per call
-    _lib_memo: tuple | None = None
+    @staticmethod
+    def _load():
+        """The kernel's ``(lib, ffi)``, built or loaded once per process.
 
-    @classmethod
-    def _load(cls):
-        if cls._lib_memo is None:
-            cls._lib_memo = load_shared_lib(
-                _CLOOP_SOURCE, _CLOOP_CDEF, "repro_cloop"
-            )
-        return cls._lib_memo
+        The build is content-hashed and cached on disk, but cdef+dlopen
+        still cost ~ms per call, and a failed build would rerun the
+        compiler on every machine.  So the outcome, a failure's reason
+        included, is kept in :data:`repro.core.ckernel.build_result`,
+        where :func:`~repro.core.ckernel.kernel_unavailable_reason`
+        reports it.  Raises ``RuntimeError`` with that reason.
+        """
+        result = ckernel.build_result
+        if result is None:
+            try:
+                result = load_shared_lib(_CLOOP_SOURCE, _CLOOP_CDEF, "repro_cloop")
+            except RuntimeError as exc:
+                result = str(exc)
+            ckernel.build_result = result
+        if isinstance(result, str):
+            raise RuntimeError(result)
+        return result
 
     def __init__(self, proc, lib, ffi) -> None:
         self._lib = lib
@@ -3019,7 +3040,7 @@ class _CloopContext:
             self._set_policy_state(proc, ti, take(_POLICY_STATE))
 
 
-class CloopProcessor(CompiledProcessor):
+class CloopProcessor(VectorizedProcessor):
     """The whole-cycle-loop compiled backend (``cloop``).
 
     Inside the C envelope — no telemetry, inlinable or forced steering,
@@ -3030,7 +3051,7 @@ class CloopProcessor(CompiledProcessor):
     are exported with the counters.  Outside the envelope (telemetry
     runs, DCRA, hill-climbing, policy subclasses, steering ablations;
     ``_cl_error`` says which) every entry point delegates to the
-    inherited engine chain, bit-identically.
+    inherited ``vectorized`` engine, bit-identically.
 
     Mid-run fallback is sticky by construction: the C context can only
     be adopted on a completely fresh machine (cycle 0, zero stats), so
@@ -3066,6 +3087,26 @@ class CloopProcessor(CompiledProcessor):
         if not (self._steer_inline or self._forced_cluster is not None):
             return f"steering {type(self.steering).__name__} is not inlinable"
         return None
+
+    def _pool_capacity(self) -> int:
+        """Initial size of the kernel's slot pool: an upper bound on
+        simultaneously live uops.
+
+        Fetch queues + ROB partitions bound the non-copy uops; issue
+        queues plus total register capacity bound the copies (an
+        undelivered copy always holds a replica register).  Unbounded
+        ROB/register configs start from their initial capacity, and the
+        kernel doubles the pool when it runs out.
+        """
+        cap = 64
+        fq_cap = self._fetch_queue_entries
+        for t in self.threads:
+            cap += fq_cap + t.rob.capacity
+        for cl in self.clusters:
+            cap += cl.iq.capacity
+            for f in cl.regs.files:
+                cap += f.capacity
+        return cap
 
     # -- kernel lifecycle ---------------------------------------------- #
 

@@ -100,8 +100,8 @@ def run_simulation(
     selects the event-horizon engine (:meth:`Processor.step_fast`);
     ``None`` defers to :func:`fast_forward_default` (on unless
     ``REPRO_FF=0``).  Results are bit-identical either way.
-    ``backend`` selects the cycle engine (``"reference"`` or
-    ``"vectorized"``); ``None`` defers to the ``REPRO_BACKEND``
+    ``backend`` selects the cycle engine (``"reference"``,
+    ``"vectorized"`` or ``"cloop"``); ``None`` defers to the ``REPRO_BACKEND``
     environment variable, then the default.  Backends are bit-identical
     by contract, so the result — including its stats dict and any
     telemetry exports — does not depend on the choice.

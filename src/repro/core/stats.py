@@ -102,12 +102,18 @@ class SimStats:
         return out
 
     def as_dict(self) -> dict[str, Any]:
-        """JSON-friendly dump (benchmark harness output)."""
+        """JSON-friendly dump (benchmark harness output): every counter
+        field, so any comparison of dumps compares every counter."""
         return {
             "cycles": self.cycles,
             "committed": self.committed,
             "committed_per_thread": list(self.committed_per_thread),
             "ipc": self.ipc,
+            "renamed": self.renamed,
+            "fetched": self.fetched,
+            "issued": self.issued,
+            "copies_renamed": self.copies_renamed,
+            "copies_arrived": self.copies_arrived,
             "copies_per_committed": self.copies_per_committed,
             "iq_stalls_per_committed": self.iq_stalls_per_committed,
             "iq_stalls": self.iq_stalls,
@@ -117,8 +123,12 @@ class SimStats:
             "mispredicts": self.mispredicts,
             "squashed_uops": self.squashed_uops,
             "wrong_path_fetched": self.wrong_path_fetched,
+            "wrong_path_renamed": self.wrong_path_renamed,
             "flushes": self.flushes,
+            "stalled_thread_cycles": self.stalled_thread_cycles,
             "imbalance": {str(k): list(v) for k, v in self.imbalance.items()},
             "imbalance_breakdown": self.imbalance_breakdown(),
+            "imbalance_cycles": self.imbalance_cycles,
+            "issue_cycles": self.issue_cycles,
             "extra": dict(self.extra),
         }

@@ -85,8 +85,7 @@ def make_mem_access(hier):
     counters, bus arbitration, fill coalescing); returns
     ``(latency, l2_miss)``.  Loads use the returned pair, stores ignore
     it — ``access`` never reads its ``is_store`` flag, so one closure
-    serves both.  Shared by every batched engine (``vectorized``,
-    ``numpy``, ``compiled``) so the transcription exists exactly once.
+    serves both.
     """
     _dtlb = hier.dtlb
 
@@ -193,7 +192,7 @@ def make_mem_access(hier):
 
 def make_tc_lookup(tc):
     """Build the flattened ``TraceCache.lookup`` closure (ITLB + TC line
-    access) for one run; shared by every batched engine."""
+    access) for one run."""
     _itlb = tc._itlb
 
     def tc_lookup(

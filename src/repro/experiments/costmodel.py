@@ -68,19 +68,14 @@ FF_FACTOR = {"mem": 0.75, "mix": 0.85, "st": 0.95, "ilp": 1.0}
 
 #: Cycle-engine multipliers: the flattened SoA engine runs the same
 #: simulation in roughly half the time of the reference interpreter
-#: (see benchmarks/results/engine_speed.json).  The batched slot-pool
-#: engine ("numpy") lands slightly behind vectorized on short-queue ILP
-#: runs and roughly even on stall-heavy ones; the compiled kernel
-#: ("compiled") recovers the gap where ready-queue scans dominate; the
-#: whole-loop kernel ("cloop") amortizes the FFI boundary over the whole
-#: run and lands well under the others (construction/marshal is most of
-#: what remains).  Calibration refines this per bucket; only the
-#: relative order matters for LPT.
+#: (see benchmarks/results/engine_speed.json).  The whole-loop kernel
+#: ("cloop") amortizes the FFI boundary over the whole run and lands well
+#: under both (construction/marshal is most of what remains).
+#: Calibration refines this per bucket; only the relative order matters
+#: for LPT.
 BACKEND_FACTOR = {
     "reference": 1.0,
     "vectorized": 0.55,
-    "numpy": 0.60,
-    "compiled": 0.58,
     "cloop": 0.15,
 }
 

@@ -2,14 +2,14 @@
 
 The fast engines re-implement the cycle loop — ``vectorized`` as one
 flattened function over structure-of-arrays trace columns
-(:mod:`repro.core.vectorized`), ``numpy`` as the batched slot-pool engine
-(:mod:`repro.core.npengine`), ``compiled`` as the slot-pool engine with a
-cffi-compiled wakeup/select kernel (:mod:`repro.core.ckernel`).  Their
-shared contract is that *nothing observable changes*: every stats
-counter, every telemetry artifact byte, under every policy, with
-fast-forward on or off.  These tests are the gate on that contract — the
-same pattern the fast-forward identity suite pins for step-vs-jump,
-applied across the backend seam.
+(:mod:`repro.core.vectorized`), ``cloop`` as the whole loop in one
+resident C kernel built on demand with cffi (:mod:`repro.core.cloop`),
+which runs on ``vectorized`` outside its envelope or without the
+toolchain.  Their shared contract is that *nothing observable
+changes*: every stats counter, every telemetry artifact byte, under
+every policy, with fast-forward on or off.  These tests are the gate on
+that contract — the same pattern the fast-forward identity suite pins
+for step-vs-jump, applied across the backend seam.
 
 Every test below parametrizes over the registered non-reference
 backends, so registering a new engine in :mod:`repro.core.backends`
@@ -106,8 +106,8 @@ def test_bit_identical_telemetry(config, policy, ff, mem_trace, ilp_trace_b, tmp
 @pytest.mark.parametrize("backend", [b for b in ALT_BACKENDS if b != "vectorized"])
 def test_telemetry_delegation_identical(config, backend, mem_trace, ilp_trace_b,
                                         tmp_path):
-    """The slot-pool engines serve telemetry runs through their envelope
-    seam (delegating to the flattened engine); the artifacts must still be
+    """``cloop`` serves telemetry runs through its envelope seam
+    (delegating to the flattened engine); the artifacts must still be
     byte-identical to the oracle's."""
     traces = [mem_trace, ilp_trace_b]
     out = {}
@@ -180,22 +180,31 @@ def test_identical_unbounded_machine(unbounded_config, backend, ilp_trace, mem_t
 @pytest.mark.parametrize("backend", ALT_BACKENDS)
 def test_identical_under_pool_growth(config, backend, monkeypatch, ilp_trace,
                                      mem_trace):
-    """A deliberately tiny slot pool forces mid-run grow()/kernel-rebind
-    cycles; results must not depend on pool capacity."""
-    from repro.core import npengine
+    """A deliberately tiny slot pool forces the C kernel to grow its pool
+    mid-run; results must not depend on pool capacity."""
+    from repro.core.ckernel import kernel_unavailable_reason
+    from repro.core.cloop import CloopProcessor
 
-    monkeypatch.setattr(npengine.NumpyProcessor, "_pool_capacity", lambda self: 64)
+    sized = []
+
+    def tiny_pool(self):
+        sized.append(self)
+        return 64
+
+    monkeypatch.setattr(CloopProcessor, "_pool_capacity", tiny_pool)
     traces = [ilp_trace, mem_trace]
     ref = _ref("stats|icount|True", config, "icount", traces, True)
     got = _run(config, "icount", traces, backend, True)
     _assert_identical(ref, got)
+    if backend == "cloop" and kernel_unavailable_reason() is None:
+        assert sized, "the 64-slot pool never reached the C context"
 
 
-@pytest.mark.parametrize("backend", ["compiled", "cloop"])
+@pytest.mark.parametrize("backend", ["cloop"])
 def test_identical_without_compiled_kernel(config, monkeypatch, ilp_trace, mem_trace,
                                            backend):
-    """``REPRO_NO_CKERNEL`` forces the kernel-backed backends onto their
-    pure fallbacks; behaviour must not change."""
+    """``REPRO_NO_CKERNEL`` forces the kernel-backed backend onto its
+    Python fallback; behaviour must not change."""
     traces = [ilp_trace, mem_trace]
     ref = _ref("stats|icount|True", config, "icount", traces, True)
     monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
@@ -239,3 +248,19 @@ def test_unknown_backend_error_notes_optional_backends(monkeypatch):
     msg = str(exc.value)
     for opt in OPTIONAL_BACKENDS:
         assert f"[{opt}:" in msg
+
+
+@pytest.mark.parametrize("retired", ["numpy", "compiled"])
+def test_retired_backend_names_fail_fast(monkeypatch, retired):
+    """The slot-pool engines were removed; their names are unknown names
+    now, and the error points at the engines that replace them."""
+    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    with pytest.raises(ValueError) as exc:
+        resolve_backend(retired)
+    monkeypatch.setenv("REPRO_BACKEND", retired)
+    with pytest.raises(ValueError) as env_exc:
+        resolve_backend(None)
+    for msg in (str(exc.value), str(env_exc.value)):
+        assert retired in msg
+        assert "vectorized" in msg and "cloop" in msg
+    assert "REPRO_BACKEND" in str(env_exc.value)

@@ -5,8 +5,9 @@ A fresh machine hands its static trace columns to the C kernel as one
 records (:func:`repro.core.cloop._trace_block`).  These tests pin three
 things the identity suites cannot see on their own:
 
-* the block holds exactly the values of the slot engine's per-thread
-  columns (``_slot_cols``), which the Python fallback still runs on;
+* the block holds exactly the values the Python engines read one
+  record at a time (the trace columns, the thread's memory lines,
+  ``TraceSoA.plain``, the latency table);
 * every one of the paper's ten schemes really adopts the kernel — a
   silent fallback would pass the identity suites too, only slower;
 * a broken block fails the run instead of falling back.
@@ -22,6 +23,9 @@ import pytest
 import repro.core.cloop as cloop
 from repro.core.backends import make_processor
 from repro.core.simulator import run_simulation
+from repro.core.soa import thread_mem_lines, trace_soa
+from repro.isa import NUM_ARCH_INT
+from repro.isa.uops import PORT_CLASS_TABLE
 from repro.policies import make_policy
 
 #: the paper's ten schemes, all in the C policy table
@@ -31,10 +35,32 @@ C_TABLE_POLICIES = [
 ]
 
 
+def _record_rows(trace, mem_offset, latency):
+    """The block's 15 rows built one record at a time, the way the
+    reference interpreter derives each value from a uop."""
+    c = trace.columns()
+    plain = trace_soa(trace).plain
+    n = len(plain)
+    next_slow = [0] * n
+    upcoming = n
+    for i in range(n - 1, -1, -1):
+        if not plain[i]:
+            upcoming = i
+        next_slow[i] = upcoming
+    return [
+        c.opclass, c.dest, c.src1, c.src2, c.pc, c.taken,
+        thread_mem_lines(trace, mem_offset), c.indirect, c.target,
+        c.complex_op, plain,
+        [PORT_CLASS_TABLE[op] for op in c.opclass],
+        [int(d >= NUM_ARCH_INT) for d in c.dest],
+        [latency[op] for op in c.opclass],
+        next_slow,
+    ]
+
+
 def test_trace_block_matches_slot_columns(config, feature_trace):
     """Row by row, for both threads and two latency tables, the bulk block
-    equals the per-record list columns converted one value at a time
-    (the marshal the block replaced)."""
+    equals the values built one record at a time."""
     rec = feature_trace.records
     assert (rec["opclass"] == cloop._BRANCH).any()
     assert rec["indirect"].any() and rec["complex_op"].any()
@@ -49,10 +75,10 @@ def test_trace_block_matches_slot_columns(config, feature_trace):
         tables.append(proc._latency)
         for tid, t in enumerate(proc.threads):
             block = cloop._trace_block(t.trace, t.mem_offset, proc._latency)
-            cols = proc._slot_cols[tid]
-            assert block.shape == (len(cols), t.n_records)
-            for i, col in enumerate(cols):
-                assert block[i].tolist() == [int(x) for x in col], (tid, i)
+            rows = _record_rows(t.trace, t.mem_offset, proc._latency)
+            assert block.shape == (len(rows), t.n_records)
+            for i, row in enumerate(rows):
+                assert block[i].tolist() == [int(x) for x in row], (tid, i)
     assert tables[0] != tables[1]
 
 

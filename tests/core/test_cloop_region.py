@@ -8,9 +8,10 @@ export at every boundary, sticky mid-run fallback — independent of the
 cross-backend identity suite (which pins *what* the regions compute).
 
 Everything here must hold with and without the toolchain: the pure
-fallback implements the same region API through the inherited engines,
-so each test also runs under ``REPRO_NO_CKERNEL``.  The kernel half is
-skipped, with the reason, where cffi or a C compiler is missing.
+fallback implements the same region API through the inherited
+``vectorized`` engine, so each test also runs under
+``REPRO_NO_CKERNEL``.  The kernel half is skipped, with the reason,
+where cffi or a C compiler is missing.
 """
 
 from __future__ import annotations
@@ -158,8 +159,8 @@ class _CSSPVariant(CSSPPolicy):
 
 @pytest.mark.parametrize("case", ["subclass", "dcra", "telemetry"])
 def test_envelope_rejection_reports_reason(config, ilp_trace, mem_trace, case):
-    """Outside the C envelope ``kernel_active()`` is False — never the
-    slot engine's select kernel — and ``_cl_error`` says why."""
+    """Outside the C envelope ``kernel_active()`` is False and
+    ``_cl_error`` says why."""
     policy, tel, expect = {
         "subclass": (_CSSPVariant(), None, "_CSSPVariant"),
         "dcra": (make_policy("dcra"), None, "DCRAPolicy"),

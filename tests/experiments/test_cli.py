@@ -78,3 +78,11 @@ def test_unknown_policy_rejected():
 def test_figure_requires_known_name():
     with pytest.raises(SystemExit):
         main(["figure", "42"])
+
+
+@pytest.mark.parametrize("retired", ["numpy", "compiled"])
+def test_retired_backend_rejected(capsys, retired):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--backend", retired, "--scale", "smoke"])
+    assert exc.value.code == 2  # argparse: invalid choice
+    assert "invalid choice" in capsys.readouterr().err
