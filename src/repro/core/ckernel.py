@@ -56,12 +56,14 @@ def _find_compiler() -> str | None:
 
 def kernel_unavailable_reason() -> str | None:
     """Why the compiled kernel would NOT be used right now (``None`` =
-    available).  Cheap: reports a build that already failed in this
-    process, else probes the toolchain; never builds."""
+    available).  Cheap: answers from this process's build outcome once
+    there is one, else probes the toolchain; never builds."""
     if os.environ.get(_ENV_DISABLE):
         return f"{_ENV_DISABLE} is set"
     if isinstance(build_result, str):
         return build_result
+    if build_result is not None:
+        return None  # loaded: no toolchain probe needed
     try:
         import cffi  # noqa: F401
     except ImportError:

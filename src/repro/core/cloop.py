@@ -55,7 +55,11 @@ The table matches exact types.  What still runs on the inherited
 * any policy subclass — an ablation may override admission or a hook;
 * steering that is neither the inlinable default nor forced (PC).
 
-One instance never mixes C-resident and Python-resident machine state.
+The choice is made once, at construction, and one instance never mixes
+C-resident and Python-resident machine state.  A machine the kernel
+owns is built without the Python engines' state (cache contents, trace
+columns, wrong-path sources); its Python objects carry the counters the
+kernel exports, and reading its cache contents raises.
 
 Region API: :meth:`CloopProcessor.run_cycles` runs a bounded region and
 returns a typed exit reason (``"limit"`` or ``"done"``); exit counts are
@@ -72,7 +76,6 @@ surfaced by :func:`repro.core.ckernel.kernel_unavailable_reason`.
 from __future__ import annotations
 
 import threading
-from itertools import chain
 
 import numpy as np
 
@@ -87,6 +90,7 @@ from repro.core.vectorized import (
     _STORE,
     VectorizedProcessor,
 )
+from repro.frontend.steering import Steering
 from repro.isa import NUM_ARCH_INT, NUM_ARCH_REGS
 from repro.isa.uops import PORT_CLASS_TABLE
 from repro.policies.cdprf import CDPRFPolicy
@@ -150,12 +154,7 @@ long long cloop_set_trace(void *cp, long long tid, long long n,
     const long long *ccomp, const long long *cplain,
     const long long *cpcls, const long long *cdk, const long long *clat,
     const long long *cns);
-void cloop_seed_cache(void *cp, long long which, const long long *cnt,
-                      const long long *lines);
-void cloop_seed_pred(void *cp, const unsigned char *table,
-                     long long nbytes, const long long *hist,
-                     long long nh);
-void cloop_seed_ipred(void *cp, const long long *targets, long long n);
+void cloop_prewarm(void *cp, const long long *lines, long long n);
 void cloop_seed_policy(void *cp, const long long *state);
 long long cloop_run(void *cp, long long limit, long long stop_mode,
                     long long commit_target, long long use_ff,
@@ -2366,34 +2365,15 @@ long long cloop_set_trace(void *cp, i64 tid, i64 n, const i64 *co,
     return 0;
 }
 
-/* cnt[si] lines per set; lines holds every set's lines back to back,
-   LRU first within each set */
-void cloop_seed_cache(void *cp, i64 which, const i64 *cnt,
-                      const i64 *lines) {
+/* Mirror of Processor.prewarm_caches: each line, in order, through the
+ * L2 alone, then the counters MemoryHierarchy.reset_stats zeroes. */
+void cloop_prewarm(void *cp, const i64 *lines, i64 n) {
     cloop *c = (cloop *)cp;
-    lru *tgt = which == 0   ? &c->l1
-               : which == 1 ? &c->l2
-               : which == 2 ? &c->dtlb
-               : which == 3 ? &c->itlb
-                            : &c->tcl;
-    for (i64 si = 0; si < tgt->nsets; si++) {
-        tgt->cnt[si] = cnt[si];
-        memcpy(tgt->data + si * tgt->assoc, lines,
-               (size_t)cnt[si] * sizeof(i64));
-        lines += cnt[si];
-    }
-}
-
-void cloop_seed_pred(void *cp, const u8 *table, i64 nbytes,
-                     const i64 *hist, i64 nh) {
-    cloop *c = (cloop *)cp;
-    memcpy(c->bp_table, table, (size_t)nbytes);
-    memcpy(c->bp_hist, hist, (size_t)nh * sizeof(i64));
-}
-
-void cloop_seed_ipred(void *cp, const i64 *targets, i64 n) {
-    cloop *c = (cloop *)cp;
-    memcpy(c->ip_targets, targets, (size_t)n * sizeof(i64));
+    for (i64 i = 0; i < n; i++) lru_access(&c->l2, lines[i]);
+    c->l1.hits = c->l1.misses = c->l1.evictions = 0;
+    c->l2.hits = c->l2.misses = c->l2.evictions = 0;
+    c->dtlb.hits = c->dtlb.misses = c->dtlb.evictions = 0;
+    c->bus_wait = c->coalesced = 0;
 }
 
 /* per-thread policy state, POLICY_STATE values per thread in this order
@@ -2679,14 +2659,17 @@ def _trace_block(trace, mem_offset: int, latency) -> np.ndarray:
 class _CloopContext:
     """Owns one resident C machine and the marshal layer around it.
 
-    Created only on a *fresh* processor (cycle 0, zero stats, post
-    cache-prewarm), so construction seeds the kernel from Python state
-    — trace records, warm cache contents, predictor tables — and from
-    then on the C side owns every piece of machine state.  ``export``
-    copies the observable counters back into the Python objects at each
-    region boundary; unobservable internals (heaps, fetch queues, ROB
-    contents, rename tables, cache contents) stay C-resident, which is
-    exactly the region contract documented on :class:`CloopProcessor`.
+    Created by :class:`CloopProcessor` at construction, right after its
+    lean Python machine is built, so the C side owns every piece of
+    machine state from birth.  It is seeded with what ``cloop_new``
+    cannot derive from the configuration: each thread's trace records
+    and the policy's initial state.  Empty caches, untrained predictors
+    and idle pipelines are the kernel's own initial state, and the ILP
+    prewarm runs in C (:meth:`prewarm`).  ``export`` copies the
+    observable counters back into the Python objects at each region
+    boundary; unobservable internals (heaps, fetch queues, ROB contents,
+    rename tables, cache contents) stay C-resident, which is exactly the
+    region contract documented on :class:`CloopProcessor`.
     """
 
     @staticmethod
@@ -2818,25 +2801,6 @@ class _CloopContext:
                 *(ffi.from_buffer("long long[]", row) for row in block),
             )
 
-        # warm state: cache contents (L2 prewarm!), predictor tables
-        for which, store in enumerate(
-            (mem.l1, mem.l2, mem.dtlb._store, tc._itlb._store, tc._lines)
-        ):
-            self._seed_lru(which, store)
-        pred = proc.predictor
-        lib.cloop_seed_pred(
-            self.c,
-            ffi.new("unsigned char[]", bytes(pred._table)),
-            pred.size,
-            ffi.new("long long[]", [int(h) for h in pred._history]),
-            proc._n_threads,
-        )
-        ip = proc.ipredictor
-        lib.cloop_seed_ipred(
-            self.c,
-            ffi.new("long long[]", ip._targets),
-            ip.size,
-        )
         lib.cloop_seed_policy(
             self.c, ffi.new("long long[]", self._policy_state(proc))
         )
@@ -2884,18 +2848,12 @@ class _CloopContext:
                 policy.starvation[tid][k] = starv
                 policy._starved_now[tid][k] = bool(pending)
 
-    def _seed_lru(self, which: int, store) -> None:
-        sets = store._sets
-        if not any(sets):
-            return  # cloop_new starts every set empty
-        cnt = np.fromiter(map(len, sets), np.int64, len(sets))
-        lines = np.fromiter(chain.from_iterable(sets), np.int64, int(cnt.sum()))
-        ffi = self._ffi
-        self._lib.cloop_seed_cache(
-            self.c,
-            which,
-            ffi.from_buffer("long long[]", cnt),
-            ffi.from_buffer("long long[]", lines),
+    def prewarm(self, lines: np.ndarray) -> None:
+        """Run ``lines`` (an int64 array, in access order) through the
+        kernel's L2, then zero the prewarm's counters."""
+        lines = np.ascontiguousarray(lines, dtype=np.int64)
+        self._lib.cloop_prewarm(
+            self.c, self._ffi.from_buffer("long long[]", lines), len(lines)
         )
 
     # -- region execution ---------------------------------------------- #
@@ -3040,53 +2998,70 @@ class _CloopContext:
             self._set_policy_state(proc, ti, take(_POLICY_STATE))
 
 
+def _envelope_error(policy, steering, telemetry) -> str | None:
+    """Why a machine built from these arguments is outside the C
+    envelope (None: inside)."""
+    if telemetry is not None:
+        return "telemetry attached: the kernel has no sampler hooks"
+    kind = type(policy)
+    if kind not in _C_POLICY_KINDS:
+        return f"policy {kind.__name__} is not in the C policy table"
+    if not (
+        steering is None
+        or type(steering).preferred_cluster is Steering.preferred_cluster
+        or getattr(policy, "forced_cluster", None) is not None
+    ):
+        return f"steering {type(steering).__name__} is not inlinable"
+    return None
+
+
 class CloopProcessor(VectorizedProcessor):
     """The whole-cycle-loop compiled backend (``cloop``).
 
-    Inside the C envelope — no telemetry, inlinable or forced steering,
-    two clusters and a policy whose exact type is in the C table (all
-    ten of the paper's schemes) — the entire simulation runs as bounded
-    regions inside one resident kernel, and Python re-enters only at
-    region boundaries, where the policy's state and the threads' gates
-    are exported with the counters.  Outside the envelope (telemetry
-    runs, DCRA, hill-climbing, policy subclasses, steering ablations;
-    ``_cl_error`` says which) every entry point delegates to the
-    inherited ``vectorized`` engine, bit-identically.
+    Inside the C envelope — no telemetry, inlinable or forced steering
+    and a policy whose exact type is in the C table (all ten of the
+    paper's schemes) — the entire simulation runs as bounded regions
+    inside one resident kernel, and Python re-enters only at region
+    boundaries, where the policy's state and the threads' gates are
+    exported with the counters.  Outside the envelope (telemetry runs,
+    DCRA, hill-climbing, policy subclasses, steering ablations), or
+    without the kernel, every entry point delegates to the inherited
+    ``vectorized`` engine, bit-identically; ``_cl_error`` says why.
 
-    Mid-run fallback is sticky by construction: the C context can only
-    be adopted on a completely fresh machine (cycle 0, zero stats), so
-    an instance that ever starts in Python finishes in Python — one
-    instance never mixes C-resident and Python-resident machine state.
+    Which of the two a machine is, is decided once, at construction.  A
+    machine the kernel owns is built lean (``python_resident`` False):
+    its caches, TLBs and trace cache hold counters but no contents, its
+    threads hold no trace columns, and reading cache contents raises.
+    Its C context is adopted at once and its :meth:`prewarm_caches`
+    runs in C.  A machine that falls back is the full ``vectorized``
+    machine and stays one, so one instance never mixes C-resident and
+    Python-resident machine state.
     """
 
     backend_name = "cloop"
 
     def __init__(self, config, policy, traces, steering=None, telemetry=None):
+        self._cl = None
+        self._released = False
+        kernel = None
+        #: why this machine runs on the Python engine (None: it does not)
+        self._cl_error: str | None = _envelope_error(policy, steering, telemetry)
+        if self._cl_error is None:
+            self._cl_error = kernel_unavailable_reason()
+        if self._cl_error is None:
+            try:
+                kernel = _CloopContext._load()
+            except RuntimeError as exc:  # build or load failed: run pure
+                self._cl_error = str(exc)
+        self.python_resident = kernel is None
         super().__init__(
             config, policy, traces, steering=steering, telemetry=telemetry
         )
-        self._cl = None
-        self._cl_failed = False
-        self._released = False
-        #: why this machine runs on the Python engine (None: it does not,
-        #: or the kernel has not been tried yet)
-        self._cl_error: str | None = self._envelope_error()
-        self._cloop_ok = self._cl_error is None
         #: region exit tallies: {"limit": n, "done": n, "watchdog": n}
         self.region_exits = {REGION_LIMIT: 0, REGION_DONE: 0, "watchdog": 0}
-
-    def _envelope_error(self) -> str | None:
-        """Why this machine is outside the C envelope (None: inside)."""
-        if self.tel is not None:
-            return "telemetry attached: the kernel has no sampler hooks"
-        policy = type(self.policy)
-        if policy not in _C_POLICY_KINDS or not self._icount_select:
-            return f"policy {policy.__name__} is not in the C policy table"
-        if len(self.clusters) != 2:
-            return "the kernel models exactly two clusters"
-        if not (self._steer_inline or self._forced_cluster is not None):
-            return f"steering {type(self.steering).__name__} is not inlinable"
-        return None
+        if kernel is not None:
+            # past the load, a failure is a marshal bug: let it surface
+            self._cl = _CloopContext(self, *kernel)
 
     def _pool_capacity(self) -> int:
         """Initial size of the kernel's slot pool: an upper bound on
@@ -3110,36 +3085,9 @@ class CloopProcessor(VectorizedProcessor):
 
     # -- kernel lifecycle ---------------------------------------------- #
 
-    def _ensure_ctx(self) -> bool:
-        """Adopt (or reuse) the resident C machine; False = fall back."""
-        if self._cl is not None:
-            return True
-        if self._cl_failed or self._released:
-            return False
-        reason = kernel_unavailable_reason()
-        if reason is not None:
-            self._cl_failed = True
-            self._cl_error = reason
-            return False
-        if self.cycle != 0 or self.stats.cycles != 0:
-            # the machine already ran in Python; importing that state
-            # mid-flight is not supported — stay on the pure engine
-            self._cl_failed = True
-            self._cl_error = "machine already running on the pure engine"
-            return False
-        try:
-            lib, ffi = _CloopContext._load()
-        except RuntimeError as exc:  # build or load failed: run pure
-            self._cl_failed = True
-            self._cl_error = str(exc)
-            return False
-        # past the load, a failure is a marshal bug: let it surface
-        self._cl = _CloopContext(self, lib, ffi)
-        return True
-
     def kernel_active(self) -> bool:
         """True when the whole-loop C kernel (not a fallback) is in use."""
-        return self._cloop_ok and self._ensure_ctx()
+        return self._cl is not None
 
     def release(self) -> None:
         """Free the resident C machine now that the run is over.
@@ -3164,7 +3112,13 @@ class CloopProcessor(VectorizedProcessor):
         """Route an entry point: True = C kernel, False = fallback chain."""
         if self._released:
             raise RuntimeError("machine was released at the end of its run")
-        return self._cloop_ok and self._ensure_ctx()
+        return self._cl is not None
+
+    def prewarm_caches(self) -> None:
+        if not self._in_kernel():
+            return super().prewarm_caches()
+        self._cl.prewarm(self._prewarm_lines())
+        self.mem.reset_stats()
 
     def run_loop(self, limit, stop="first_done", use_ff=True, commit_target=None):
         if not self._in_kernel():

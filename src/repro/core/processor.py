@@ -83,6 +83,12 @@ class Processor:
     #: registered backend name this engine implements
     backend_name = "reference"
 
+    #: False on a machine whose contents another engine holds (a
+    #: ``cloop`` machine the C kernel owns): caches, TLBs, the trace cache
+    #: and the threads are then built without contents or trace columns,
+    #: and Python keeps only the counters that engine writes back
+    python_resident = True
+
     def __init__(
         self,
         config: ProcessorConfig,
@@ -101,15 +107,19 @@ class Processor:
         self.policy = policy
         self.steering = steering or Steering(config.steer_imbalance_threshold)
         self.clusters = [Cluster(i, config) for i in range(config.num_clusters)]
-        self.mem = MemoryHierarchy(config.memory)
+        resident = self.python_resident
+        self.mem = MemoryHierarchy(config.memory, resident=resident)
         self.mob = MemoryOrderBuffer(config.memory.mob_entries, config.num_threads)
         self.icn = Interconnect(config.num_links, config.link_latency)
         self.predictor = GShare(config.front_end.gshare_entries, config.num_threads)
         self.ipredictor = IndirectPredictor(
             config.front_end.indirect_entries, config.num_threads
         )
-        self.tc = TraceCache(config.front_end, config.memory.itlb)
-        self.threads = [ThreadContext(t, traces[t]) for t in range(config.num_threads)]
+        self.tc = TraceCache(config.front_end, config.memory.itlb, resident=resident)
+        self.threads = [
+            ThreadContext(t, traces[t], resident=resident)
+            for t in range(config.num_threads)
+        ]
         for t in self.threads:
             t.rob = ReorderBuffer(
                 config.rob_entries_per_thread, unbounded=config.unbounded_rob
@@ -1208,18 +1218,25 @@ class Processor:
         cold (refills from a warm L2 cost 12 cycles, a negligible startup
         transient).
         """
+        access = self.mem.l2.access
+        for line in self._prewarm_lines().tolist():
+            access(line)
+        self.mem.reset_stats()
+
+    def _prewarm_lines(self):
+        """The L2 lines :meth:`prewarm_caches` installs, in access order:
+        each ``ilp`` thread's distinct data lines, ascending, offset into
+        its address space, threads in order (an int64 array)."""
         import numpy as np
 
+        parts = [np.empty(0, dtype=np.int64)]
         for thread in self.threads:
             if thread.trace.kind != "ilp":
                 continue
             rec = thread.trace.records
             mem_mask = (rec["opclass"] == _LOAD) | (rec["opclass"] == _STORE)
-            offset = thread.tid << 33
-            lines = np.unique(rec["mem_line"][mem_mask])
-            for line in lines:
-                self.mem.l2.access(int(line) + offset)
-        self.mem.reset_stats()
+            parts.append(np.unique(rec["mem_line"][mem_mask]) + thread.mem_offset)
+        return np.concatenate(parts)
 
     def reset_measurement(self) -> None:
         """Zero all statistics while keeping architectural/micro state.

@@ -45,10 +45,14 @@ class ThreadContext:
         "fetched_right_path",
     )
 
-    def __init__(self, tid: int, trace: Trace) -> None:
+    def __init__(self, tid: int, trace: Trace, *, resident: bool = True) -> None:
+        """``resident=False`` leaves out ``cols`` and ``wp_source``: the
+        thread's fetch runs in the C kernel, which reads the records."""
         self.tid = tid
         self.trace = trace
-        self.cols = trace.columns()
+        if resident:
+            self.cols = trace.columns()
+            self.wp_source = WrongPathSource(trace)
         self.n_records = len(trace.records)
         self.mem_offset = tid << 33
         self.cursor = 0
@@ -56,7 +60,6 @@ class ThreadContext:
         self.fetch_blocked_until = 0
         self.rename_blocked_until = 0
         self.wrong_path = False
-        self.wp_source = WrongPathSource(trace)
         self.rename_table = RenameTable()
         self.rob: ReorderBuffer | None = None  # installed by the Processor
         self.inflight: deque[Uop] = deque()

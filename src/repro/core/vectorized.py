@@ -272,8 +272,11 @@ class VectorizedProcessor(Processor):
         self._steer_inline = (
             type(self.steering).preferred_cluster is Steering.preferred_cluster
         )
-        # -- SoA static trace metadata, by tid
+        # -- SoA static trace metadata, by tid (none on a machine whose
+        #    fetch runs elsewhere: see ``python_resident``)
         self._fetch_cols = []
+        if not self.python_resident:
+            return
         for t in self.threads:
             c = t.cols
             soa = trace_soa(t.trace)

@@ -23,7 +23,7 @@ class GShare:
             raise ValueError("gshare entries must be a power of two")
         self.size = entries
         self._mask = entries - 1
-        self._table = bytearray([2] * entries)  # init weakly taken
+        self._table = bytearray(b"\x02") * entries  # init weakly taken
         self._history = [0] * num_threads
         self._hist_bits = hist_bits
         self.lookups = 0

@@ -28,16 +28,23 @@ class TraceCache:
 
     __slots__ = ("line_uops", "fill_latency", "_lines", "_itlb", "hits", "misses")
 
-    def __init__(self, config: FrontEndConfig, itlb: TLBConfig) -> None:
+    def __init__(
+        self, config: FrontEndConfig, itlb: TLBConfig, *, resident: bool = True
+    ) -> None:
+        """``resident=False`` builds the line store and the ITLB without
+        contents (see :class:`~repro.memory.cache.NonResidentCache`)."""
         self.line_uops = config.trace_cache_line_uops
         self.fill_latency = config.mite_fill_latency
         num_lines = max(1, config.trace_cache_uops // self.line_uops)
         assoc = 8 if num_lines >= 8 else num_lines
         self._lines = SetAssocCache.from_geometry(
-            max(1, num_lines // assoc), assoc, name="TC"
+            max(1, num_lines // assoc), assoc, name="TC", resident=resident
         )
         self._itlb = TLB(
-            itlb, line_bytes=max(1, 64 // _UOP_BYTES), name="ITLB"
+            itlb,
+            line_bytes=max(1, 64 // _UOP_BYTES),
+            name="ITLB",
+            resident=resident,
         )
         self.hits = 0
         self.misses = 0

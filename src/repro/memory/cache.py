@@ -8,6 +8,10 @@ part of why memory-bounded co-runners hurt each other.
 Sets are small (2- or 8-way), so each set is a plain Python list kept in
 LRU order (index 0 = LRU, last = MRU); ``list.remove``/``append`` on lists
 of <= 8 elements beats any clever structure.
+
+A :class:`NonResidentCache` keeps only the geometry and counters of a
+cache whose contents live in the whole-loop C kernel
+(:mod:`repro.core.cloop`).
 """
 
 from __future__ import annotations
@@ -30,13 +34,18 @@ class SetAssocCache:
         self.evictions = 0
 
     @classmethod
-    def from_geometry(cls, num_sets: int, assoc: int, name: str = "cache") -> "SetAssocCache":
-        """Build directly from (sets, ways) — used by the TLB model."""
-        self = cls.__new__(cls)
+    def from_geometry(
+        cls, num_sets: int, assoc: int, name: str = "cache", *, resident: bool = True
+    ) -> "SetAssocCache":
+        """Build directly from (sets, ways).  ``resident=False`` builds a
+        :class:`NonResidentCache`: the same geometry and counters, no
+        contents."""
+        self = object.__new__(cls if resident else NonResidentCache)
         self.name = name
         self.num_sets = num_sets
         self.assoc = assoc
-        self._sets = [[] for _ in range(num_sets)]
+        if resident:
+            self._sets = [[] for _ in range(num_sets)]
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -93,4 +102,23 @@ class SetAssocCache:
         return (
             f"<{self.name}: {self.num_sets}x{self.assoc}, "
             f"{self.hits}H/{self.misses}M>"
+        )
+
+
+class NonResidentCache(SetAssocCache):
+    """A cache level whose contents the whole-loop C kernel holds; the
+    kernel writes the counters back.  Reading the contents (``_sets``, and
+    through it ``access``, ``probe``, ``invalidate`` and ``occupancy``)
+    raises instead of answering from lists nothing updates.
+
+    A subclass, not a mode of :class:`SetAssocCache`: a ``__getattr__``
+    hook there would slow every counter update of the Python engines."""
+
+    __slots__ = ()
+
+    @property
+    def _sets(self):
+        raise RuntimeError(
+            f"{self.name} contents live in the C kernel; "
+            "Python keeps only this cache's counters"
         )

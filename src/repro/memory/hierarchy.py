@@ -42,11 +42,22 @@ class AccessResult(NamedTuple):
 class MemoryHierarchy:
     """Shared L1D + L2 + memory with bus contention and a DTLB."""
 
-    def __init__(self, config: MemoryConfig) -> None:
+    def __init__(self, config: MemoryConfig, *, resident: bool = True) -> None:
+        """``resident=False`` builds the caches and the DTLB without
+        contents (see :class:`~repro.memory.cache.NonResidentCache`)."""
         self.config = config
-        self.l1 = SetAssocCache(config.l1, name="L1D")
-        self.l2 = SetAssocCache(config.l2, name="L2")
-        self.dtlb = TLB(config.dtlb, line_bytes=config.l1.line_bytes, name="DTLB")
+        self.l1 = SetAssocCache.from_geometry(
+            config.l1.num_sets, config.l1.assoc, "L1D", resident=resident
+        )
+        self.l2 = SetAssocCache.from_geometry(
+            config.l2.num_sets, config.l2.assoc, "L2", resident=resident
+        )
+        self.dtlb = TLB(
+            config.dtlb,
+            line_bytes=config.l1.line_bytes,
+            name="DTLB",
+            resident=resident,
+        )
         self._bus_free = [0] * config.l1_l2_buses
         # line -> cycle when an in-flight fill completes (miss coalescing)
         self._inflight_fills: dict[int, int] = {}

@@ -16,9 +16,18 @@ class TLB:
 
     __slots__ = ("_store", "miss_latency", "_lines_per_page")
 
-    def __init__(self, config: TLBConfig, line_bytes: int = 64, name: str = "tlb") -> None:
+    def __init__(
+        self,
+        config: TLBConfig,
+        line_bytes: int = 64,
+        name: str = "tlb",
+        *,
+        resident: bool = True,
+    ) -> None:
         # A TLB is a cache of page translations; reuse the cache structure.
-        self._store = SetAssocCache.from_geometry(config.num_sets, config.assoc, name)
+        self._store = SetAssocCache.from_geometry(
+            config.num_sets, config.assoc, name, resident=resident
+        )
         self.miss_latency = config.miss_latency
         self._lines_per_page = max(1, config.page_bytes // line_bytes)
 

@@ -88,3 +88,18 @@ def test_failed_build_is_tried_once_and_reported(
     proc = make_processor("cloop", config, make_policy("icount"),
                           [ilp_trace, mem_trace])
     assert proc.kernel_active(), proc._cl_error
+
+
+def test_loaded_kernel_answers_without_probing(c_kernel, monkeypatch):
+    """Once this process holds the loaded kernel, the reason comes from
+    it, with no toolchain probe; ``REPRO_NO_CKERNEL`` still wins."""
+    import shutil
+
+    from repro.core.cloop import _CloopContext
+
+    _CloopContext._load()
+    monkeypatch.setattr(shutil, "which", lambda *_a, **_k: None)
+    assert _find_compiler() is None
+    assert kernel_unavailable_reason() is None
+    monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
+    assert "REPRO_NO_CKERNEL" in kernel_unavailable_reason()

@@ -107,7 +107,7 @@ def test_mid_run_fallback_is_sticky(config, ilp_trace, mem_trace, monkeypatch):
     proc = _proc(config, [ilp_trace, mem_trace])
     proc.run_cycles(100)
     monkeypatch.delenv("REPRO_NO_CKERNEL")
-    assert proc._ensure_ctx() is False  # sticky: mid-run state is Python's
+    assert not proc.kernel_active()  # sticky: mid-run state is Python's
     proc.run_cycles(100)
     assert proc.cycle == 200
 
@@ -126,7 +126,7 @@ def test_non_c_policy_delegates(config, ilp_trace, mem_trace):
     region API still honours its contract there."""
     proc = _proc(config, [ilp_trace, mem_trace], policy="dcra")
     assert isinstance(proc, CloopProcessor)
-    assert not proc._cloop_ok
+    assert not proc.kernel_active()
     reason = proc.run_cycles(64, use_ff=False)
     assert reason == REGION_LIMIT
     assert proc.cycle == 64
