@@ -2,12 +2,13 @@
 
 These are conventional pytest-benchmark timings (multiple rounds) rather
 than figure reproductions — they track the performance of the cycle loop
-and the trace generator across changes.  Mean times also land in
-``benchmarks/results/engine_speed.json`` so cycle-loop speedups (or
-regressions) are recorded next to the figure outputs.
+and the trace generator across changes, and several assert bit-identity
+against a reference engine in place.  Nothing is persisted: committed
+speed figures come from ``perfbench/run.py``, which records repeats,
+spread and provenance.
 """
 
-import json
+import time
 
 import pytest
 
@@ -19,15 +20,10 @@ from repro.trace.synthesis import SyntheticProgram, generate_trace
 
 
 @pytest.fixture(scope="module")
-def speed_log(results_dir):
-    """Collect ``{bench name: mean seconds}`` and persist at module end."""
-    data: dict[str, float] = {}
-    yield data
-    if data:
-        path = results_dir / "engine_speed.json"
-        merged = json.loads(path.read_text()) if path.exists() else {}
-        merged.update(data)
-        path.write_text(json.dumps(merged, indent=1, sort_keys=True))
+def speed_log():
+    """``{bench name: mean seconds}`` of this run, for benches that
+    compare against another bench's mean (never written anywhere)."""
+    return {}
 
 
 def _record(speed_log, name, benchmark):
@@ -92,23 +88,23 @@ def bench_cycle_loop_cdprf(benchmark, speed_log):
 _NOISE_FACTOR = 1.25
 
 
-def _stored_mean(results_dir, name):
-    """Previously recorded mean for ``name``, or None on first run."""
-    path = results_dir / "engine_speed.json"
-    if not path.exists():
-        return None
-    return json.loads(path.read_text()).get(name)
+def _mean_seconds(fn, rounds=3):
+    """Mean wall time of ``rounds`` calls of ``fn``."""
+    t0 = time.perf_counter()
+    for _ in range(rounds):
+        fn()
+    return (time.perf_counter() - t0) / rounds
 
 
-def bench_cycle_loop_telemetry_off(benchmark, speed_log, results_dir):
+def bench_cycle_loop_telemetry_off(benchmark, speed_log):
     """CDPRF loop with the telemetry hook left at its default (``None``).
 
     Guards the zero-cost-when-off contract: with no :class:`Telemetry`
     attached the cycle loop pays a single ``is not None`` test per cycle,
     so the mean must stay within noise of the ``cycle_loop_cdprf``
-    baseline.  The same-session mean is preferred as the reference (same
-    machine state); the recorded baseline file is the fallback when this
-    bench runs alone.
+    baseline.  The baseline is always measured in this run: the
+    ``cycle_loop_cdprf`` mean when that bench ran first, else the same
+    CDPRF loop timed here with an explicit ``telemetry=None``.
     """
     traces = _traces()
     config = baseline_config()
@@ -119,11 +115,18 @@ def bench_cycle_loop_telemetry_off(benchmark, speed_log, results_dir):
             proc.step_fast(100_000)
         return proc.stats.committed
 
+    def run_baseline():
+        proc = Processor(
+            config, make_policy("cdprf", interval=1024), traces, telemetry=None
+        )
+        while not proc.any_done() and proc.cycle < 100_000:
+            proc.step_fast(100_000)
+
     committed = benchmark(run)
     assert committed > 0
-    baseline = speed_log.get("cycle_loop_cdprf") or _stored_mean(
-        results_dir, "cycle_loop_cdprf"
-    )
+    baseline = speed_log.get("cycle_loop_cdprf")
+    if baseline is None:
+        baseline = _mean_seconds(run_baseline)
     _record(speed_log, "cycle_loop_telemetry_off", benchmark)
     stats = getattr(benchmark, "stats", None)
     if baseline is not None and stats is not None:
@@ -370,7 +373,7 @@ def bench_sweep_smoke_jobs1(benchmark, speed_log):
 
 
 def bench_sweep_smoke_jobs4(benchmark, speed_log):
-    """The sweep engine at jobs=4: persistent pool, shm traces, LPT.
+    """The sweep engine at jobs=4: persistent pool, LPT dispatch.
 
     The first round pays worker spawn; later rounds reuse the warm pool,
     so the mean reflects steady-state sweep cost.  On a single-core host
@@ -392,36 +395,6 @@ def bench_sweep_smoke_jobs4(benchmark, speed_log):
     assert n == 4
     _record(speed_log, "sweep_smoke_jobs4", benchmark)
     parallel.shutdown()
-
-
-def bench_sweep_fifo_jobs4(benchmark, speed_log):
-    """The scheme this engine replaced: a fresh pool per sweep, FIFO
-    submission of every item at once, no shared-memory traces (each worker
-    rebuilds from seeds).  The ratio to ``sweep_smoke_jobs4`` is the
-    engine's win at equal job count."""
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-
-    from repro.experiments import parallel
-    from repro.experiments.runner import ExperimentRunner, figure2_config
-
-    config = figure2_config(32)
-    pool = _smoke_pool()
-
-    def run():
-        runner = ExperimentRunner("smoke", pool=pool)
-        items = parallel.sweep_items(
-            runner, config, _SWEEP_POLICIES, list(pool)
-        )
-        with ProcessPoolExecutor(max_workers=4) as ex:
-            futs = [ex.submit(parallel._run_item, it, None) for it in items]
-            for fut in as_completed(futs):
-                key, rec, _seconds, _pid = fut.result()
-                runner._cache_put(key, rec)
-        return len(runner.sweep(config, _SWEEP_POLICIES))
-
-    n = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert n == 4
-    _record(speed_log, "sweep_smoke_fifo_jobs4", benchmark)
 
 
 def bench_sweep_resume_overhead(benchmark, speed_log, tmp_path_factory):

@@ -57,9 +57,10 @@ The table matches exact types.  What still runs on the inherited
 
 The choice is made once, at construction, and one instance never mixes
 C-resident and Python-resident machine state.  A machine the kernel
-owns is built without the Python engines' state (cache contents, trace
-columns, wrong-path sources); its Python objects carry the counters the
-kernel exports, and reading its cache contents raises.
+owns is built without the Python engines' state (cache contents,
+predictor tables, trace columns, wrong-path sources); its Python objects
+carry the counters the kernel exports, and reading its cache contents or
+predictor tables raises.
 
 Region API: :meth:`CloopProcessor.run_cycles` runs a bounded region and
 returns a typed exit reason (``"limit"`` or ``"done"``); exit counts are
@@ -3030,8 +3031,9 @@ class CloopProcessor(VectorizedProcessor):
 
     Which of the two a machine is, is decided once, at construction.  A
     machine the kernel owns is built lean (``python_resident`` False):
-    its caches, TLBs and trace cache hold counters but no contents, its
-    threads hold no trace columns, and reading cache contents raises.
+    its caches, TLBs, trace cache and branch predictors hold counters but
+    no contents or tables, its threads hold no trace columns, and reading
+    cache contents or predicting raises.
     Its C context is adopted at once and its :meth:`prewarm_caches`
     runs in C.  A machine that falls back is the full ``vectorized``
     machine and stays one, so one instance never mixes C-resident and

@@ -84,9 +84,10 @@ class Processor:
     backend_name = "reference"
 
     #: False on a machine whose contents another engine holds (a
-    #: ``cloop`` machine the C kernel owns): caches, TLBs, the trace cache
-    #: and the threads are then built without contents or trace columns,
-    #: and Python keeps only the counters that engine writes back
+    #: ``cloop`` machine the C kernel owns): caches, TLBs, the trace cache,
+    #: the branch predictors and the threads are then built without
+    #: contents, tables or trace columns, and Python keeps only the
+    #: counters that engine writes back
     python_resident = True
 
     def __init__(
@@ -111,9 +112,11 @@ class Processor:
         self.mem = MemoryHierarchy(config.memory, resident=resident)
         self.mob = MemoryOrderBuffer(config.memory.mob_entries, config.num_threads)
         self.icn = Interconnect(config.num_links, config.link_latency)
-        self.predictor = GShare(config.front_end.gshare_entries, config.num_threads)
+        self.predictor = GShare(
+            config.front_end.gshare_entries, config.num_threads, resident=resident
+        )
         self.ipredictor = IndirectPredictor(
-            config.front_end.indirect_entries, config.num_threads
+            config.front_end.indirect_entries, config.num_threads, resident=resident
         )
         self.tc = TraceCache(config.front_end, config.memory.itlb, resident=resident)
         self.threads = [

@@ -22,13 +22,11 @@ The model is deliberately simple and self-correcting:
 * calibration recorded before buckets were backend-keyed (three-segment
   keys) is migrated on load to the ``reference`` engine, which is what
   produced it;
-* calibration persists across processes in a JSON file
-  (``benchmarks/results/cost_model.json`` in a development checkout,
-  ``~/.cache/repro/cost_model.json`` otherwise; override with
-  ``REPRO_COST_MODEL``, disable persistence with ``REPRO_COST_MODEL=0``),
-  written atomically and tolerated when corrupt — LPT only needs the
-  *relative* order of items, so a cold or stale model degrades throughput,
-  never correctness.
+* calibration persists across processes in
+  ``~/.cache/repro/cost_model.json`` (override with ``REPRO_COST_MODEL``,
+  disable persistence with ``REPRO_COST_MODEL=0``), written atomically and
+  tolerated when corrupt — LPT only needs the *relative* order of items,
+  so a cold or stale model degrades throughput, never correctness.
 """
 
 from __future__ import annotations
@@ -67,8 +65,9 @@ POLICY_FACTOR = {
 FF_FACTOR = {"mem": 0.75, "mix": 0.85, "st": 0.95, "ilp": 1.0}
 
 #: Cycle-engine multipliers: the flattened SoA engine runs the same
-#: simulation in roughly half the time of the reference interpreter
-#: (see benchmarks/results/engine_speed.json).  The whole-loop kernel
+#: simulation in roughly half the time of the reference interpreter (the
+#: ``cycle_loop_*`` pairs of benchmarks/bench_engine_speed.py time both on
+#: the same traces).  The whole-loop kernel
 #: ("cloop") amortizes the FFI boundary over the whole run and lands well
 #: under both (construction/marshal is most of what remains).
 #: Calibration refines this per bucket; only the relative order matters
@@ -107,11 +106,6 @@ def default_path() -> Path | None:
         if env.strip().lower() in _DISABLED or not env.strip():
             return None
         return Path(env)
-    # development checkout: keep the calibration next to the benchmark
-    # results it is derived from
-    repo_results = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
-    if repo_results.is_dir():
-        return repo_results / "cost_model.json"
     return Path.home() / ".cache" / "repro" / "cost_model.json"
 
 

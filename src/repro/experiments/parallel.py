@@ -1,49 +1,47 @@
-"""Sweep execution engine: persistent worker pool, cost-modeled dispatch.
+"""Sweep execution engine: one dispatch loop over any executor.
 
 A figure regeneration is a long list of independent simulations, each a
 pure function of ``(scale, config, policy, workload)``.  This module fans
-those simulations out over a **persistent** process pool and merges the
-results back through :class:`ExperimentRunner`'s cache, so the serial code
-paths (and their results) are untouched — the parallel layer only
-*prefetches* cache entries.
+those simulations out and merges the results back through
+:class:`ExperimentRunner`'s cache, so the serial code paths (and their
+results) are untouched — the parallel layer only *prefetches* cache
+entries.
 
-The engine has four moving parts:
+**The seam** is the stdlib :class:`concurrent.futures.Executor`:
+``submit(run_item, item)`` returns a future of
+``(key, record, seconds, worker)``, where ``worker`` holds the fields that
+name who ran the item.  Three executors implement it — the persistent
+local process pool (:func:`get_executor`), the service's thread pool and
+:class:`repro.fabric.coordinator.FabricHub`, which leases items to remote
+workers over TCP.  Two shared pieces sit on top:
 
-* **Persistent, lazily-spawned worker pool.**  One
-  :class:`~concurrent.futures.ProcessPoolExecutor` is shared by every
-  ``run_items`` call of the process — across sweeps, figure drivers and
-  benchmark rounds — so workers keep their warm per-scale
-  :class:`ExperimentRunner` and memoized traces.  The pool grows on demand
-  (a larger ``jobs=`` respawns it bigger; a smaller one reuses it) and is
-  torn down by :func:`shutdown` or at interpreter exit.
-* **Zero-copy trace distribution** (:mod:`repro.experiments.shm`).  The
-  parent publishes each distinct trace's record array once into a
-  shared-memory segment; workers map it instead of re-synthesizing or
-  re-deserializing.  Any failure falls back to the original scheme:
-  the :class:`TraceSpec` travels with the item and the worker regenerates
-  the trace from its seed (bit-identical, just slower).
-* **Cost-modeled scheduling** (:mod:`repro.experiments.costmodel`).
-  Cache-missing items are dispatched longest-expected-first (LPT) through
-  a bounded in-flight window: idle workers pull the next-longest pending
-  item the moment they free up, which eliminates the tail-straggler idle
-  time of FIFO submission.  Completed-item timings are fed back into the
-  model and persisted, so estimates calibrate to the host.
-* **Checkpoint/resume** (:mod:`repro.experiments.journal`).  Each
-  completed key is journaled next to the result cache; a runner built
-  with ``resume=True`` (CLI ``--resume``) skips journaled keys and
-  re-executes only the missing ones.
+* :func:`run_items`, the **one blocking loop** behind
+  :meth:`ExperimentRunner.sweep` on every executor: dedup and cache check,
+  longest-expected-first (LPT) order from the cost model
+  (:mod:`repro.experiments.costmodel`), a bounded in-flight window, the
+  progress line, the ``sweep_start``/``item``/``sweep_end`` events, abort
+  and error mapping;
+* :func:`complete_item`, the **one completion path**, which that loop and
+  the service's dispatcher both call: cache put, journal mark
+  (:mod:`repro.experiments.journal`, so ``--resume`` re-executes only
+  missing keys), cost-model calibration and the timing record.
 
-This module is the **local executor**; :mod:`repro.fabric` generalizes it
-into a pluggable layer whose ``tcp`` executor leases the same
-:class:`WorkItem` units to remote workers over a socket protocol, sharing
-this module's cost model, dedup (:func:`split_items`), worker entry point
-(:func:`_run_item`) and cache/journal merge path.
+The local pool is **persistent and lazily spawned**: one
+:class:`~concurrent.futures.ProcessPoolExecutor` is shared by every sweep
+of the process — across figure drivers and benchmark rounds — so workers
+keep their warm per-scale :class:`ExperimentRunner` and memoized traces.
+It grows on demand (a larger ``jobs=`` respawns it bigger; a smaller one
+reuses it) and is torn down by :func:`shutdown` or at interpreter exit.
+Every worker, local or remote, gets its traces the same way: memoized per
+process, loaded from the on-disk trace cache or synthesized from the
+item's seeds.
 
 Scheduling and pooling never affect *what* is computed: workers run the
 same ``run``/``run_single`` entry points the serial path uses, and the
 final sweep assembly reads everything back from the cache, so a parallel
-run is bit-identical to a serial one at any ``jobs=``, with telemetry on
-or off (asserted by ``tests/experiments/test_parallel.py`` and
+run is bit-identical to a serial one at any ``jobs=`` and on any executor,
+with telemetry on or off (asserted by ``tests/experiments/test_parallel.py``,
+``tests/experiments/test_dispatch_seam.py`` and
 ``tests/telemetry/test_parallel_telemetry.py``).
 
 Worker counts resolve as ``jobs=`` argument > ``REPRO_JOBS`` environment
@@ -51,7 +49,7 @@ variable > default (``os.cpu_count()`` for the benchmark/figure drivers,
 1 for a bare :class:`ExperimentRunner`).
 
 Every completed item also leaves a timing record (predicted vs measured
-seconds, worker PID, queue wait) in ``runner.sweep_log`` and — when the
+seconds, who ran it, queue wait) in ``runner.sweep_log`` and — when the
 runner has a ``cache_dir`` — appended to ``<cache_dir>/sweep_trace.jsonl``,
 so sweep behaviour is observable after the fact.
 """
@@ -59,17 +57,19 @@ so sweep behaviour is observable after the fact.
 from __future__ import annotations
 
 import atexit
+import json
 import os
 import sys
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from queue import SimpleQueue
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.config import ProcessorConfig
-from repro.experiments import costmodel, shm
+from repro.experiments import costmodel
 from repro.telemetry import TelemetryConfig
 from repro.trace.categories import WorkloadType, category_profile
 from repro.trace.synthesis import generate_trace
@@ -77,7 +77,7 @@ from repro.trace.trace import Trace
 from repro.trace.workloads import Workload
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.experiments.runner import ExperimentRunner, RunKey, Scale
+    from repro.experiments.runner import ExperimentRunner, RunKey, RunRecord, Scale
 
 
 def resolve_jobs(jobs: int | None = None, default: int | None = None) -> int:
@@ -200,13 +200,6 @@ class WorkItem:
     #: affects scheduling records and wall-clock only, never results.
     backend: str | None = None
 
-    def specs(self) -> tuple[TraceSpec, ...]:
-        """The trace specs this item touches (for shared-memory lookup)."""
-        if self.single is not None:
-            return (self.single,)
-        assert self.workload is not None
-        return self.workload.traces
-
 
 # --------------------------------------------------------------------------- #
 # Worker side: per-process memoization                                        #
@@ -216,23 +209,12 @@ _worker_traces: dict[TraceSpec, Trace] = {}
 _worker_runners: dict["Scale", "ExperimentRunner"] = {}
 
 
-def _worker_trace(spec: TraceSpec, shm_name: str | None = None) -> Trace:
+def _worker_trace(spec: TraceSpec) -> Trace:
+    """``spec``'s trace, memoized per worker: loaded from the on-disk
+    trace cache, or synthesized from the seed when that misses."""
     tr = _worker_traces.get(spec)
-    if tr is not None:
-        return tr
-    records = shm.attach(shm_name, spec.n_uops) if shm_name else None
-    if records is not None:
-        # zero-copy: wrap the parent's published bytes directly
-        tr = Trace(
-            records,
-            name=spec.name,
-            category=spec.category,
-            kind=spec.kind,
-            seed=spec.seed,
-        )
-    else:
-        tr = spec.build()  # fallback: regenerate from the seed
-    _worker_traces[spec] = tr
+    if tr is None:
+        tr = _worker_traces[spec] = spec.build()
     return tr
 
 
@@ -245,16 +227,18 @@ def _worker_runner(scale: "Scale") -> "ExperimentRunner":
     return runner
 
 
-def _run_item(item: WorkItem, shm_names: dict[TraceSpec, str] | None = None):
-    """Worker entry point: run one simulation.
+def run_item(
+    item: WorkItem,
+) -> tuple["RunKey", "RunRecord", float, dict[str, Any]]:
+    """Run one simulation: the callable every executor is handed.
 
-    Returns ``(key, record, seconds, worker_pid)`` — the timing feeds the
-    parent's cost model, the PID its scheduling log.
+    Returns ``(key, record, seconds, worker)``.  ``seconds`` feeds the
+    cost model; ``worker`` (``{"worker_pid": pid}``) goes verbatim into
+    the timing record and the ``item`` event.
     """
     from pathlib import Path
 
     t0 = time.perf_counter()
-    names = shm_names or {}
     runner = _worker_runner(item.scale)
     # telemetry settings travel per item (the memoized runner is shared by
     # items from different sweeps, so both fields are assigned every time)
@@ -264,9 +248,7 @@ def _run_item(item: WorkItem, shm_names: dict[TraceSpec, str] | None = None):
     if item.backend is not None:
         runner.backend = item.backend
     if item.single is not None:
-        rec = runner.run_single(
-            item.config, _worker_trace(item.single, names.get(item.single))
-        )
+        rec = runner.run_single(item.config, _worker_trace(item.single))
     else:
         assert item.workload is not None
         spec = item.workload
@@ -274,14 +256,14 @@ def _run_item(item: WorkItem, shm_names: dict[TraceSpec, str] | None = None):
             name=spec.name,
             category=spec.category,
             wtype=WorkloadType(spec.wtype),
-            traces=tuple(_worker_trace(s, names.get(s)) for s in spec.traces),
+            traces=tuple(_worker_trace(s) for s in spec.traces),
         )
         rec = runner.run(item.config, item.policy, workload, stop=item.stop)
-    return item.key, rec, time.perf_counter() - t0, os.getpid()
+    return item.key, rec, time.perf_counter() - t0, {"worker_pid": os.getpid()}
 
 
 # --------------------------------------------------------------------------- #
-# Parent side: persistent executor, scheduler, progress, cache merge          #
+# Parent side: persistent pool, cost model, completion, the dispatch loop     #
 # --------------------------------------------------------------------------- #
 
 _executor: ProcessPoolExecutor | None = None
@@ -290,15 +272,17 @@ _cost_model: costmodel.CostModel | None = None
 _atexit_registered = False
 
 
-def _get_cost_model() -> costmodel.CostModel:
+def cost_model() -> costmodel.CostModel:
+    """The process-wide cost model, loaded once from
+    :func:`repro.experiments.costmodel.default_path`."""
     global _cost_model
     if _cost_model is None:
         _cost_model = costmodel.CostModel(costmodel.default_path())
     return _cost_model
 
 
-def _get_executor(jobs: int) -> ProcessPoolExecutor:
-    """The persistent pool, grown (never shrunk) to at least ``jobs``.
+def get_executor(jobs: int) -> ProcessPoolExecutor:
+    """The persistent local pool, grown (never shrunk) to at least ``jobs``.
 
     Workers are spawned lazily by the executor as items are submitted, so
     asking for a large pool costs nothing until the work arrives; keeping
@@ -318,7 +302,7 @@ def _get_executor(jobs: int) -> ProcessPoolExecutor:
 
 
 def shutdown() -> None:
-    """Tear down the worker pool and release shared-memory segments.
+    """Tear down the local pool and persist the cost model.
 
     Safe to call repeatedly; also runs at interpreter exit.  The next
     ``run_items`` call simply builds a fresh pool.
@@ -328,7 +312,6 @@ def shutdown() -> None:
         _executor.shutdown(wait=True)
         _executor = None
         _executor_jobs = 0
-    shm.release_all()
     if _cost_model is not None:
         _cost_model.save()
 
@@ -381,30 +364,7 @@ class _Progress:
             print(file=sys.stderr, flush=True)
 
 
-def split_items(
-    runner: "ExperimentRunner", items: Sequence[WorkItem]
-) -> tuple[list[WorkItem], int]:
-    """Deduplicate ``items`` and split them into (to-run, cache-hit count).
-
-    The shared front half of every executor — local pool and fabric
-    coordinator alike — so "what still needs running" is decided exactly
-    once, by the process that owns the cache and journal.
-    """
-    todo: list[WorkItem] = []
-    hits = 0
-    seen: set["RunKey"] = set()
-    for item in items:
-        if item.key in seen:
-            continue
-        seen.add(item.key)
-        if _is_complete(runner, item):
-            hits += 1
-        else:
-            todo.append(item)
-    return todo, hits
-
-
-def _is_complete(runner: "ExperimentRunner", item: WorkItem) -> bool:
+def is_complete(runner: "ExperimentRunner", item: WorkItem) -> bool:
     """Whether ``item`` needs no execution (cache hit, exports present)."""
     from repro.telemetry import exports_complete
 
@@ -423,109 +383,176 @@ def _is_complete(runner: "ExperimentRunner", item: WorkItem) -> bool:
     return True
 
 
+def complete_item(
+    runner: "ExperimentRunner",
+    item: WorkItem,
+    result: tuple["RunKey", "RunRecord", float, dict[str, Any]],
+    *,
+    label: str,
+    predicted_s: float,
+    submitted: float,
+    tag: dict[str, str] | None = None,
+) -> None:
+    """Merge one executed simulation into ``runner``: the one completion path.
+
+    ``result`` is what :func:`run_item` returned (through any executor),
+    ``submitted`` the :func:`time.perf_counter` reading when the item was
+    handed to its executor.  Writes the cache entry, journals the key
+    (after the entry, so the journal never vouches for a missing one),
+    counts it in ``sims_run``, calibrates the cost model, and records the
+    timing — predicted vs measured seconds, queue wait, who ran it, plus
+    ``tag`` — in ``runner.sweep_log`` and ``sweep_trace.jsonl``.
+    """
+    key, rec, seconds, worker = result
+    runner._cache_put(key, rec)
+    runner._mark_complete(key)
+    runner.sims_run += 1
+    cost_model().observe(item, seconds)
+    timing = {
+        "label": label,
+        "scale": key.scale,
+        "policy": key.policy,
+        "workload": key.workload,
+        "backend": item.backend or runner.backend,
+        "predicted_s": round(predicted_s, 6),
+        "elapsed_s": round(seconds, 6),
+        "wait_s": round(max(0.0, time.perf_counter() - submitted - seconds), 6),
+        **worker,
+        **(tag or {}),
+    }
+    runner.sweep_log.append(timing)
+    if runner.cache_dir is not None:
+        try:
+            with open(runner.cache_dir / "sweep_trace.jsonl", "a") as fh:
+                fh.write(json.dumps(timing) + "\n")
+        except OSError:  # pragma: no cover - observability must never fail a run
+            pass
+
+
 def run_items(
     runner: "ExperimentRunner",
     items: Sequence[WorkItem],
-    jobs: int,
+    executor: Executor | None = None,
+    *,
+    jobs: int = 1,
     label: str = "sweep",
 ) -> int:
-    """Run the cache-missing ``items`` on the pool; merge results back.
+    """Run the cache-missing ``items`` on ``executor``; merge results back.
 
-    Returns the number of simulations actually executed.  With
-    ``jobs <= 1`` this is a no-op — the caller's serial loop does the
-    work — so the serial path never pays pool overhead.
+    Returns the number of simulations actually executed.  ``executor=None``
+    is the persistent local pool with ``jobs`` workers, spawned only once
+    there is work; with ``jobs <= 1`` it is a no-op — the caller's serial
+    loop does the work — so the serial path never pays pool overhead.
 
-    Dispatch is longest-expected-first through a bounded in-flight window
-    (``jobs + 1`` futures): when any worker finishes, it immediately pulls
-    the longest remaining item, so no worker idles while work is pending
-    and the longest items never strand the tail of the sweep.
+    Dispatch is longest-expected-first.  On the local pool at most
+    ``jobs + 1`` items are in flight, however large the persistent pool
+    is: whenever one finishes, the longest remaining item is submitted,
+    so no worker idles while work is pending.
+    Any other executor (a :class:`~repro.fabric.coordinator.FabricHub`, a
+    thread pool) receives every item up front, in that order, and applies
+    its own backpressure: the hub leases within each worker's window.
+
+    An item's exception ends the sweep and propagates (a dead local pool
+    is reset first and reported as a :class:`RuntimeError`); an abort
+    request from ``runner.abort_cb`` stops launching, lets running items
+    finish into the cache and raises :class:`SweepAborted`.
     """
-    if jobs <= 1:
+    if executor is None and jobs <= 1:
         return 0
     runner._check_abort()
-    todo, hits = split_items(runner, items)
+    todo: list[WorkItem] = []
+    hits = 0
+    seen: set["RunKey"] = set()
+    for item in items:
+        if item.key in seen:
+            continue
+        seen.add(item.key)
+        if is_complete(runner, item):
+            hits += 1
+        else:
+            todo.append(item)
     if not todo:
         return 0
 
-    model = _get_cost_model()
-    estimates, todo = model.lpt_order(todo)
+    from repro.fabric.coordinator import FabricHub
 
-    store = shm.store()
-    executor = _get_executor(jobs)
-    progress = _Progress(len(todo), hits, min(jobs, len(todo)), label)
+    tcp = isinstance(executor, FabricHub)
+    tag = {"executor": "tcp"} if tcp else {}
+    model = cost_model()
+    estimates, todo = model.lpt_order(todo)
+    if executor is None:
+        executor = get_executor(jobs)
+        window = jobs + 1
+    else:
+        window = len(todo)
+    workers = max(1, len(executor.conns)) if tcp else min(jobs, len(todo))
+    progress = _Progress(
+        len(todo), hits, workers, f"{label} [tcp]" if tcp else label
+    )
     queue: deque[WorkItem] = deque(todo)
-    inflight: dict = {}
-    timings: list[dict] = []
+    inflight: dict[Future, tuple[WorkItem, float]] = {}
+    finished: SimpleQueue[Future] = SimpleQueue()
     executed = 0
     aborted = False
     runner._notify(
         {
             "event": "sweep_start",
             "label": label,
+            **tag,
             "total": len(todo) + hits,
             "hits": hits,
             "to_run": len(todo),
-            "jobs": min(jobs, len(todo)),
+            "jobs": workers,
         }
     )
 
     def _submit_next() -> None:
         item = queue.popleft()
-        names = store.names_for(item.specs())
-        fut = executor.submit(_run_item, item, names or None)
+        fut = executor.submit(run_item, item)
         inflight[fut] = (item, time.perf_counter())
+        fut.add_done_callback(finished.put)
 
     try:
-        for _ in range(min(jobs + 1, len(queue))):
+        while queue and len(inflight) < window:
             _submit_next()
         while inflight:
-            done, _pending = wait(list(inflight), return_when=FIRST_COMPLETED)
-            for fut in done:
-                item, t_submit = inflight.pop(fut)
-                key, rec, seconds, worker_pid = fut.result()
-                runner._cache_put(key, rec)
-                runner._mark_complete(key)
-                runner.sims_run += 1
-                executed += 1
-                model.observe(item, seconds)
-                timings.append(
-                    {
-                        "label": label,
-                        "scale": key.scale,
-                        "policy": key.policy,
-                        "workload": key.workload,
-                        "backend": item.backend or runner.backend,
-                        "predicted_s": round(estimates[id(item)], 6),
-                        "elapsed_s": round(seconds, 6),
-                        "wait_s": round(
-                            time.perf_counter() - t_submit - seconds, 6
-                        ),
-                        "worker_pid": worker_pid,
-                    }
-                )
-                progress.tick(key)
-                runner._notify(
-                    {
-                        "event": "item",
-                        "label": label,
-                        "scale": key.scale,
-                        "policy": key.policy,
-                        "workload": key.workload,
-                        "cached": False,
-                        "elapsed_s": round(seconds, 6),
-                        "worker_pid": worker_pid,
-                        "done": progress.done,
-                        "to_run": progress.to_run,
-                        "hits": hits,
-                    }
-                )
-                if not aborted and runner.abort_cb is not None:
-                    try:
-                        aborted = bool(runner.abort_cb())
-                    except Exception:  # noqa: BLE001 - treat a broken
-                        aborted = True  # callback as an abort request
-                if queue and not aborted:
-                    _submit_next()
+            fut = finished.get()
+            item, submitted = inflight.pop(fut)
+            if fut.cancelled():
+                continue
+            result = fut.result()
+            complete_item(
+                runner, item, result, label=label,
+                predicted_s=estimates[id(item)], submitted=submitted, tag=tag,
+            )
+            executed += 1
+            key, _rec, seconds, worker = result
+            progress.tick(key)
+            runner._notify(
+                {
+                    "event": "item",
+                    "label": label,
+                    "scale": key.scale,
+                    "policy": key.policy,
+                    "workload": key.workload,
+                    "cached": False,
+                    "elapsed_s": round(seconds, 6),
+                    **worker,
+                    "done": progress.done,
+                    "to_run": progress.to_run,
+                    "hits": hits,
+                }
+            )
+            if not aborted and runner.abort_cb is not None:
+                try:
+                    aborted = bool(runner.abort_cb())
+                except Exception:  # noqa: BLE001 - treat a broken
+                    aborted = True  # callback as an abort request
+                if aborted:
+                    for waiting in inflight:
+                        waiting.cancel()  # not started yet: never will
+            if queue and not aborted:
+                _submit_next()
     except BrokenProcessPool:
         shutdown()  # reset so the next call gets a healthy pool
         raise RuntimeError(
@@ -537,12 +564,11 @@ def run_items(
             fut.cancel()
         progress.close()
         model.save()
-        runner.sweep_log.extend(timings)
-        append_sweep_trace(runner, timings)
         runner._notify(
             {
                 "event": "sweep_end",
                 "label": label,
+                **tag,
                 "executed": executed,
                 "hits": hits,
                 "aborted": aborted,
@@ -558,25 +584,6 @@ def run_items(
     return executed
 
 
-def append_sweep_trace(runner: "ExperimentRunner", timings: list[dict]) -> None:
-    """Persist scheduling records next to the cache (best-effort).
-
-    Shared by :func:`run_items` and the service layer's item dispatcher,
-    so every executed simulation — whoever launched it — lands in the
-    same ``<cache_dir>/sweep_trace.jsonl`` with the same record shape.
-    """
-    if not timings or runner.cache_dir is None:
-        return
-    try:
-        import json
-
-        with open(runner.cache_dir / "sweep_trace.jsonl", "a") as fh:
-            for rec in timings:
-                fh.write(json.dumps(rec) + "\n")
-    except OSError:  # pragma: no cover - observability must never fail a run
-        pass
-
-
 def sweep_items(
     runner: "ExperimentRunner",
     config: ProcessorConfig,
@@ -587,19 +594,14 @@ def sweep_items(
     """Work items for every (policy, workload) pair of a sweep.
 
     Workloads whose traces cannot be regenerated from seeds are skipped
-    (the serial pass after the prefetch still runs them in-parent).  The
-    traces of eligible workloads are staged with the shared-memory store,
-    so workers can map them instead of rebuilding.
+    (the serial pass after the prefetch still runs them in-parent).
     """
     items: list[WorkItem] = []
     tel_cfg, tel_dir = _telemetry_fields(runner)
-    store = shm.store()
     for wl in workloads:
         spec = WorkloadSpec.of(wl)
         if spec is None:
             continue
-        for tr, tr_spec in zip(wl.traces, spec.traces):
-            store.stage(tr_spec, tr.records)
         for policy in policies:
             items.append(
                 WorkItem(
@@ -626,14 +628,11 @@ def single_items(
     """Work items for single-thread reference runs (fairness baselines)."""
     items: list[WorkItem] = []
     tel_cfg, tel_dir = _telemetry_fields(runner)
-    store = shm.store()
     for tr in traces:
         try:
             category_profile(tr.category, tr.kind)
         except KeyError:
             continue
-        spec = TraceSpec.of(tr)
-        store.stage(spec, tr.records)
         items.append(
             WorkItem(
                 key=runner.key_for_single(config, tr),
@@ -641,7 +640,7 @@ def single_items(
                 config=config,
                 policy="icount",
                 stop="all_done",
-                single=spec,
+                single=TraceSpec.of(tr),
                 telemetry=tel_cfg,
                 telemetry_dir=tel_dir,
                 fast_forward=runner.fast_forward,

@@ -217,11 +217,11 @@ class ExperimentRunner:
         self.resume_completed: frozenset[RunKey] = frozenset(
             self.journal.load() if (resume and self.journal) else ()
         )
-        #: scheduling/timing records appended by the parallel engine
-        #: (one dict per executed item; see repro.experiments.parallel)
+        #: scheduling/timing records of dispatched items (one dict per
+        #: executed item; see repro.experiments.parallel.complete_item)
         self.sweep_log: list[dict[str, Any]] = []
-        # Programmatic progress/cancel hooks.  The stderr progress line
-        # (repro.experiments.parallel._Progress) stays the default consumer;
+        # Programmatic progress/cancel hooks.  The stderr progress line of
+        # repro.experiments.parallel.run_items stays the default consumer;
         # progress_cb additionally receives one dict per completed
         # simulation ("run"/"item" events) and sweep start/end markers —
         # the service layer streams these to HTTP clients.  abort_cb is
@@ -230,12 +230,12 @@ class ExperimentRunner:
         self.progress_cb = progress_cb
         self.abort_cb = abort_cb
         # Sweep executor: "local" (the shared process pool; default) or
-        # "tcp" (a repro.fabric coordinator leasing items to remote
-        # workers).  Resolved eagerly — argument > REPRO_EXECUTOR >
-        # local — so an unknown name fails at construction, not
-        # mid-sweep.  ``fabric`` carries the coordinator's
-        # :class:`repro.fabric.FabricSettings` (bind address, lease
-        # timeout) and is ignored by the local executor.
+        # "tcp" (a repro.fabric hub leasing items to remote workers).
+        # Resolved eagerly — argument > REPRO_EXECUTOR > local — so an
+        # unknown name fails at construction, not mid-sweep.  ``fabric``
+        # carries the coordinator's :class:`repro.fabric.FabricSettings`
+        # (bind address, lease timeout) and is ignored by the local
+        # executor.
         from repro.fabric import resolve_executor
 
         self.executor = resolve_executor(executor)
@@ -514,6 +514,18 @@ class ExperimentRunner:
     def _effective_jobs(self, jobs: int | None) -> int:
         return self.jobs if jobs is None else max(1, int(jobs))
 
+    def _prefetch(self, items: list, jobs: int, label: str) -> None:
+        """Run the cache misses among ``items`` on this runner's executor:
+        the fabric hub for ``tcp``, else the local pool of ``jobs``."""
+        from repro.experiments import parallel
+
+        hub = None
+        if self.executor == "tcp":
+            from repro.fabric import get_hub
+
+            hub = get_hub(self.fabric)
+        parallel.run_items(self, items, hub, jobs=jobs, label=label)
+
     def sweep(
         self,
         config: ProcessorConfig,
@@ -535,14 +547,10 @@ class ExperimentRunner:
         wls = list(workloads) if workloads is not None else list(self.pool)
         n_jobs = self._effective_jobs(jobs)
         if n_jobs > 1 or self.executor != "local":
-            from repro import fabric
             from repro.experiments import parallel
 
-            fabric.run_items(
-                self,
-                parallel.sweep_items(self, config, policies, wls),
-                n_jobs,
-                label=label,
+            self._prefetch(
+                parallel.sweep_items(self, config, policies, wls), n_jobs, label
             )
         out: dict[tuple[str, str, str], RunRecord] = {}
         for policy in policies:
@@ -566,14 +574,10 @@ class ExperimentRunner:
         traces = list(traces)
         n_jobs = self._effective_jobs(jobs)
         if n_jobs > 1 or self.executor != "local":
-            from repro import fabric
             from repro.experiments import parallel
 
-            fabric.run_items(
-                self,
-                parallel.single_items(self, config, traces),
-                n_jobs,
-                label=label,
+            self._prefetch(
+                parallel.single_items(self, config, traces), n_jobs, label
             )
         return [self.run_single(config, tr) for tr in traces]
 

@@ -6,30 +6,26 @@ idempotent and resumable: every simulation is a pure function of its
 completion is journaled.  This package adds the missing piece for
 multi-host scale-out — a **transport** — behind one switch:
 
-* ``executor="local"`` (default): today's persistent shared process pool,
-  byte-identical behaviour, zero new overhead;
-* ``executor="tcp"``: a :class:`~repro.fabric.coordinator.FabricHub`
-  serves items over a length-prefixed JSON protocol to remote workers
-  started with ``repro-sim worker --connect host:port``.
+* ``executor="local"`` (default): the persistent shared process pool;
+* ``executor="tcp"``: a :class:`~repro.fabric.coordinator.FabricHub`, a
+  :class:`concurrent.futures.Executor` that serves items over a
+  length-prefixed JSON protocol to remote workers started with
+  ``repro-sim worker --connect host:port``.
 
-Either way the caller is :meth:`ExperimentRunner.sweep` and the results
-land in the same cache + journal, so a distributed sweep is bit-identical
-to a serial one and ``--resume`` works unchanged across coordinator
-restarts.  Executor resolution mirrors the engine's other knobs:
-explicit argument > ``REPRO_EXECUTOR`` environment > ``local``, failing
-fast on unknown names.
+Either way :meth:`ExperimentRunner.sweep` drives the executor through the
+one dispatch loop, :func:`repro.experiments.parallel.run_items`, and the
+results land in the same cache + journal, so a distributed sweep is
+bit-identical to a serial one and ``--resume`` works unchanged across
+coordinator restarts.  Executor resolution mirrors the engine's other
+knobs: explicit argument > ``REPRO_EXECUTOR`` environment > ``local``,
+failing fast on unknown names.
 """
 
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Sequence
 
 from repro.fabric.coordinator import FabricSettings, get_hub, shutdown
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.experiments.parallel import WorkItem
-    from repro.experiments.runner import ExperimentRunner
 
 #: Known executors, in documentation order.
 EXECUTORS = ("local", "tcp")
@@ -55,34 +51,10 @@ def resolve_executor(name: str | None = None) -> str:
     return got
 
 
-def run_items(
-    runner: "ExperimentRunner",
-    items: Sequence["WorkItem"],
-    jobs: int,
-    label: str = "sweep",
-) -> int:
-    """Dispatch ``items`` through the runner's executor; returns how many
-    simulations were executed (the rest were cache hits).
-
-    ``local`` defers to :func:`repro.experiments.parallel.run_items`
-    verbatim (including its ``jobs <= 1`` serial no-op).  ``tcp`` ignores
-    ``jobs`` — capacity is whatever workers dial in — and blocks until the
-    connected workers have completed every cache-missing item.
-    """
-    executor = getattr(runner, "executor", "local")
-    if executor == "local":
-        from repro.experiments import parallel
-
-        return parallel.run_items(runner, items, jobs, label=label)
-    hub = get_hub(getattr(runner, "fabric", None))
-    return hub.run_items(runner, items, label=label)
-
-
 __all__ = [
     "EXECUTORS",
     "FabricSettings",
     "get_hub",
     "resolve_executor",
-    "run_items",
     "shutdown",
 ]

@@ -1,38 +1,40 @@
-"""Fabric coordinator: serve work items to remote workers over TCP.
+"""Fabric coordinator: an Executor whose workers dial in over TCP.
 
-The coordinator is the multi-host analogue of the persistent local pool in
-:mod:`repro.experiments.parallel`: one process owns the result cache, the
-checkpoint journal and the cost model, and *leases* cache-missing work
-items to however many workers dial in (``repro-sim worker --connect``).
-Workers are stateless executors — each item carries everything needed to
-rebuild its traces from seeds (hitting the worker's local trace-synthesis
+:class:`FabricHub` is the multi-host counterpart of the persistent local
+pool in :mod:`repro.experiments.parallel`, behind the same seam — the
+stdlib :class:`concurrent.futures.Executor` interface.
+``submit(run_item, item)`` queues a :class:`WorkItem` and returns a future
+of ``(key, record, seconds, worker)``; whichever worker dials in
+(``repro-sim worker --connect``) runs it.  The dispatch loop, the result
+cache, the journal, the cost model and progress all stay with the caller
+(:func:`repro.experiments.parallel.run_items`): the hub owns only the
+transport.  Workers are stateless — each item carries everything needed
+to rebuild its traces from seeds (hitting the worker's local trace
 cache), so the only bytes on the wire are specs out and records back.
 
-Scheduling mirrors the local engine exactly:
+One I/O thread serves every socket:
 
-* items are dispatched **longest-expected-first** (the same EWMA/LPT cost
-  model, calibrated by measured remote timings);
-* each worker advertises a bounded in-flight **window** (its ``hello``),
-  so a fast worker streams items back-to-back while a slow one is never
-  buried — cross-host work stealing without a shared queue;
-* every completed item lands in the coordinator's cache + journal through
-  the same ``_cache_put``/``_mark_complete`` calls the local pool uses, so
-  ``--resume`` works unchanged across coordinator restarts.
+* it accepts connections and refuses a ``hello`` that speaks another
+  protocol version;
+* it leases queued items in submission order, never more to a worker than
+  the in-flight **window** that worker advertised — a fast worker streams
+  items back-to-back while a slow one is never buried;
+* it reads heartbeats: a worker is alive while its socket speaks.
 
-Failure model: a worker is alive while its socket speaks (results or the
-heartbeat thread's beacons).  A closed socket or a silent
-``lease_timeout`` drops the worker and **re-queues its leased items** for
-the survivors.  Because the journal ⊆ cache invariant makes items
-idempotent, a lease that was actually completed twice (worker died after
-computing, before the result landed) is byte-identical both times — the
-first result wins, duplicates are discarded, and the sweep completes each
-key exactly once (``scripts/fabric_smoke.py`` SIGKILLs a worker mid-sweep
-and byte-diffs the final cache tree against a local run).
+Failure model: a closed socket, a protocol error or ``lease_timeout``
+seconds of silence drops the worker and **re-queues its leased items**
+ahead of later submissions.  Because the journal ⊆ cache invariant makes
+items idempotent, a lease that was actually completed twice (worker died
+after computing, before the result landed) is byte-identical both times —
+the first result resolves the future and duplicates are discarded, so a
+sweep completes each key exactly once (``scripts/fabric_smoke.py``
+SIGKILLs a worker mid-sweep and byte-diffs the final cache tree against a
+local run).  A worker's ``error`` reply becomes that item's exception.
 
-One :class:`FabricHub` persists across ``run_items`` calls, exactly like
-the local pool persists across sweeps: workers connect once and serve
-every sweep of the process (a figure driver's sweep + singles phases, a
-benchmark's rounds) until the coordinator exits or sends ``shutdown``.
+One hub persists across sweeps, exactly like the local pool: workers
+connect once and serve every sweep of the process (a figure driver's
+sweep + singles phases, a benchmark's rounds) until the coordinator exits
+or sends ``shutdown``.
 """
 
 from __future__ import annotations
@@ -41,16 +43,19 @@ import atexit
 import selectors
 import socket
 import sys
+import threading
 import time
+from collections import deque
+from concurrent.futures import Executor, Future
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any
 
-from repro.experiments import parallel
+from repro.experiments.parallel import run_item
 from repro.fabric import protocol
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.parallel import WorkItem
-    from repro.experiments.runner import ExperimentRunner, RunKey
+    from repro.experiments.runner import RunKey
 
 
 @dataclass(frozen=True)
@@ -84,16 +89,17 @@ class _Conn:
         self.host = ""
         self.window = 1
         self.last_seen = time.monotonic()
-        #: key -> (item, estimate, monotonic dispatch time)
-        self.leases: dict["RunKey", tuple["WorkItem", float, float]] = {}
+        #: key -> (future, item), in lease order
+        self.leases: dict["RunKey", tuple[Future, "WorkItem"]] = {}
 
     @property
     def name(self) -> str:
         return f"{self.host or self.addr[0]}:{self.pid or '?'}"
 
 
-class FabricHub:
-    """Listening socket + worker connections, persistent across sweeps."""
+class FabricHub(Executor):
+    """Listening socket, worker connections and the lease queue, served
+    by one I/O thread; persistent across sweeps."""
 
     def __init__(self, settings: FabricSettings) -> None:
         self.settings = settings
@@ -104,11 +110,19 @@ class FabricHub:
         self._listener.listen(64)
         self._listener.setblocking(False)
         self.selector.register(self._listener, selectors.EVENT_READ, None)
+        # submit() and close() wake the I/O thread through this pair
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)
+        self.selector.register(self._wake_r, selectors.EVENT_READ, self._wake_r)
         self.host, self.port = self._listener.getsockname()[:2]
         self.conns: list[_Conn] = []
         self.workers_seen = 0
         self.drops = 0
         self.requeued = 0
+        #: items not leased yet, in submission order (requeues go first)
+        self._queue: deque[tuple[Future, "WorkItem"]] = deque()
+        self._lock = threading.Lock()  # guards _queue and _closed
         self._closed = False
         print(
             f"[repro] fabric: coordinator listening on "
@@ -116,8 +130,76 @@ class FabricHub:
             file=sys.stderr,
             flush=True,
         )
+        self._thread = threading.Thread(
+            target=self._serve, name="repro-fabric-hub", daemon=True
+        )
+        self._thread.start()
 
-    # -- connection plumbing ---------------------------------------------------
+    # -- the Executor seam ------------------------------------------------------
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        """Queue ``run_item(item)`` for the next worker with a free slot.
+
+        ``fn`` must be :func:`~repro.experiments.parallel.run_item`: a
+        work item is the only thing the protocol carries.
+        """
+        if fn is not run_item or len(args) != 1 or kwargs:
+            raise TypeError("a FabricHub runs only parallel.run_item(item)")
+        fut: Future = Future()
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("cannot submit to a closed FabricHub")
+            self._queue.append((fut, args[0]))
+        self._wake()
+        return fut
+
+    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Send ``shutdown`` to every worker and tear the hub down; items
+        still queued are cancelled and leased ones fail."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+        self._wake()
+        if threading.current_thread() is not self._thread:
+            self._thread.join()
+
+    def _wake(self) -> None:
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:
+            pass  # buffer full (a wakeup is already pending) or torn down
+
+    # -- the I/O thread ---------------------------------------------------------
+
+    def _serve(self) -> None:
+        try:
+            while not self._closed:
+                for sel_key, mask in self.selector.select(timeout=0.25):
+                    if sel_key.data is None:
+                        self._accept()
+                    elif sel_key.data is self._wake_r:
+                        self._drain_wake()
+                    else:
+                        self._service(sel_key.data, mask)
+                for conn in list(self.conns):
+                    self._fill(conn)
+                # liveness scan: silent workers lose their leases
+                deadline = time.monotonic() - self.settings.lease_timeout
+                for conn in [c for c in self.conns if c.last_seen < deadline]:
+                    self._drop(conn, "lease timeout")
+        finally:
+            self._teardown()
+
+    def _drain_wake(self) -> None:
+        try:
+            while self._wake_r.recv(4096):
+                pass
+        except OSError:
+            pass
 
     def _accept(self) -> None:
         try:
@@ -130,12 +212,99 @@ class FabricHub:
         self.conns.append(conn)
         self.selector.register(sock, selectors.EVENT_READ, conn)
 
+    def _service(self, conn: _Conn, mask: int) -> None:
+        if mask & selectors.EVENT_WRITE:
+            self._flush(conn)
+        if not mask & selectors.EVENT_READ:
+            return
+        try:
+            data = conn.sock.recv(1 << 20)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError as exc:
+            self._drop(conn, f"socket error: {exc}")
+            return
+        if not data:
+            self._drop(conn, "connection closed")
+            return
+        try:
+            for msg in conn.decoder.feed(data):
+                self._on_message(conn, msg)
+                if conn not in self.conns:
+                    return  # dropped by that message
+        except (protocol.ProtocolError, KeyError, TypeError, ValueError) as exc:
+            self._drop(conn, f"protocol error: {exc}")
+
+    def _on_message(self, conn: _Conn, msg: dict[str, Any]) -> None:
+        conn.last_seen = time.monotonic()
+        kind = msg.get("type")
+        if kind == "heartbeat":
+            return
+        if kind == "hello":
+            if msg.get("version") != protocol.VERSION:
+                self._send(
+                    conn,
+                    protocol.error_msg(
+                        None,
+                        f"protocol version {msg.get('version')} != "
+                        f"{protocol.VERSION}",
+                    ),
+                )
+                self._drop(conn, "version mismatch")
+                return
+            conn.registered = True
+            conn.pid = int(msg.get("pid", 0))
+            conn.host = str(msg.get("host", conn.addr[0]))
+            conn.window = max(
+                1, min(int(msg.get("window", 1)), self.settings.max_window)
+            )
+            self.workers_seen += 1
+            return
+        if kind not in ("result", "error"):
+            raise protocol.ProtocolError(f"unknown message type {kind!r}")
+        # decode in full before touching the lease: a malformed reply
+        # drops the worker with this item still leased, so it is re-queued
+        key = protocol.decode_key(msg["key"])
+        if kind == "result":
+            result = (
+                key,
+                protocol.decode_record(msg["record"]),
+                float(msg["seconds"]),
+                {"worker_pid": int(msg.get("pid", conn.pid)), "worker": conn.name},
+            )
+        lease = conn.leases.pop(key, None)
+        if lease is None or lease[0].done():
+            return  # a duplicate after a re-queue: the first result won
+        if kind == "error":
+            lease[0].set_exception(
+                RuntimeError(
+                    f"fabric worker {conn.name} failed on "
+                    f"{key.policy}/{key.workload}: {msg.get('error')}"
+                )
+            )
+        else:
+            lease[0].set_result(result)
+
+    def _fill(self, conn: _Conn) -> None:
+        """Lease queued items to ``conn`` up to its window."""
+        while conn.registered and len(conn.leases) < conn.window:
+            with self._lock:
+                if not self._queue:
+                    return
+                fut, item = self._queue.popleft()
+                # a re-queued item is running already; a fresh one starts
+                # now, unless the caller cancelled it while it waited
+                if not (fut.running() or fut.set_running_or_notify_cancel()):
+                    continue
+            conn.leases[item.key] = (fut, item)
+            self._send(conn, protocol.item_msg(item))
+
     def _events_for(self, conn: _Conn) -> int:
         return selectors.EVENT_READ | (
             selectors.EVENT_WRITE if conn.outbox else 0
         )
 
-    def _queue(self, conn: _Conn, msg: dict[str, Any]) -> None:
+    def _send(self, conn: _Conn, msg: dict[str, Any]) -> None:
         conn.outbox.extend(protocol.pack(msg))
         self._flush(conn)
 
@@ -157,8 +326,8 @@ class FabricHub:
         except (KeyError, ValueError, OSError):
             pass
 
-    def _drop(self, conn: _Conn, reason: str) -> list["WorkItem"]:
-        """Close a connection; return its leased items for re-queuing."""
+    def _drop(self, conn: _Conn, reason: str) -> None:
+        """Close a connection and re-queue its leased items first in line."""
         try:
             self.selector.unregister(conn.sock)
         except (KeyError, ValueError):
@@ -170,7 +339,8 @@ class FabricHub:
         if conn in self.conns:
             self.conns.remove(conn)
         self.drops += 1
-        lost = [item for item, _est, _t0 in conn.leases.values()]
+        lost = list(conn.leases.values())
+        conn.leases.clear()
         if conn.registered:
             print(
                 f"[repro] fabric: worker {conn.name} dropped ({reason}); "
@@ -178,276 +348,42 @@ class FabricHub:
                 file=sys.stderr,
                 flush=True,
             )
-        conn.leases.clear()
-        return lost
+        self.requeued += len(lost)
+        with self._lock:
+            self._queue.extendleft(reversed(lost))
 
-    def close(self) -> None:
-        """Send ``shutdown`` to every worker and tear the hub down."""
-        if self._closed:
-            return
-        self._closed = True
+    def _teardown(self) -> None:
+        """(I/O thread, last) shut workers down, settle every future."""
+        with self._lock:
+            self._closed = True
+        lost = list(self._queue)
+        self._queue.clear()
         for conn in list(self.conns):
+            lost.extend(conn.leases.values())
             try:
                 conn.sock.setblocking(True)
                 conn.sock.settimeout(2.0)
-                conn.sock.sendall(bytes(conn.outbox) + protocol.pack(protocol.SHUTDOWN))
+                conn.sock.sendall(
+                    bytes(conn.outbox) + protocol.pack(protocol.SHUTDOWN)
+                )
             except OSError:
-                pass
-            try:
-                self.selector.unregister(conn.sock)
-            except (KeyError, ValueError):
                 pass
             try:
                 conn.sock.close()
             except OSError:
                 pass
         self.conns.clear()
-        try:
-            self.selector.unregister(self._listener)
-        except (KeyError, ValueError):
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        for fut, _item in lost:
+            if not fut.cancel() and not fut.done():
+                fut.set_exception(
+                    RuntimeError("fabric hub closed before the item completed")
+                )
+        for sock in (self._listener, self._wake_r, self._wake_w):
+            try:
+                sock.close()
+            except OSError:
+                pass
         self.selector.close()
-
-    # -- one sweep ---------------------------------------------------------------
-
-    def run_items(
-        self,
-        runner: "ExperimentRunner",
-        items: Sequence["WorkItem"],
-        label: str = "sweep",
-    ) -> int:
-        """Serve the cache-missing ``items`` to connected workers.
-
-        Blocks until every item is completed (results merged into the
-        runner's cache + journal, cost model calibrated) and returns the
-        number executed — the remote counterpart of
-        :func:`repro.experiments.parallel.run_items`.
-        """
-        runner._check_abort()
-        todo, hits = parallel.split_items(runner, items)
-        if not todo:
-            return 0
-        model = parallel._get_cost_model()
-        estimates, ordered = model.lpt_order(todo)
-        # stored reversed (ascending) so list.pop() hands out the longest
-        pending = ordered[::-1]
-        completed: set["RunKey"] = set()
-        timings: list[dict[str, Any]] = []
-        executed = 0
-        aborted = False
-        failure: str | None = None
-        progress = parallel._Progress(
-            len(todo), hits, max(1, len(self.conns)), f"{label} [tcp]"
-        )
-        runner._notify(
-            {
-                "event": "sweep_start",
-                "label": label,
-                "executor": "tcp",
-                "total": len(todo) + hits,
-                "hits": hits,
-                "to_run": len(todo),
-                "jobs": max(1, len(self.conns)),
-            }
-        )
-
-        now = time.monotonic()
-        for conn in self.conns:
-            # idle-between-sweeps workers were not being read; their silence
-            # was ours, not theirs — reset liveness before the expiry scan
-            conn.last_seen = now
-
-        def leased() -> int:
-            return sum(len(c.leases) for c in self.conns)
-
-        def fill(conn: _Conn) -> None:
-            if not conn.registered or aborted or failure:
-                return
-            while pending and len(conn.leases) < conn.window:
-                item = pending.pop()
-                conn.leases[item.key] = (
-                    item, estimates[id(item)], time.monotonic()
-                )
-                self._queue(conn, protocol.item_msg(item))
-
-        def requeue(lost: list["WorkItem"]) -> None:
-            fresh = [it for it in lost if it.key not in completed]
-            if not fresh:
-                return
-            self.requeued += len(fresh)
-            pending.extend(fresh)
-            pending.sort(key=lambda it: estimates[id(it)])
-            for conn in self.conns:
-                fill(conn)
-
-        def on_result(conn: _Conn, msg: dict[str, Any]) -> None:
-            nonlocal executed, aborted
-            key = protocol.decode_key(msg["key"])
-            lease = conn.leases.pop(key, None)
-            if key in completed:
-                return  # duplicate after a re-queue; first result won
-            rec = protocol.decode_record(msg["record"])
-            seconds = float(msg["seconds"])
-            completed.add(key)
-            runner._cache_put(key, rec)
-            runner._mark_complete(key)
-            runner.sims_run += 1
-            executed += 1
-            item, estimate, t0 = lease if lease is not None else (
-                None, 0.0, time.monotonic()
-            )
-            if item is not None:
-                model.observe(item, seconds)
-            timings.append(
-                {
-                    "label": label,
-                    "scale": key.scale,
-                    "policy": key.policy,
-                    "workload": key.workload,
-                    "backend": (
-                        (item.backend if item else None) or runner.backend
-                    ),
-                    "predicted_s": round(estimate, 6),
-                    "elapsed_s": round(seconds, 6),
-                    "wait_s": round(
-                        max(0.0, time.monotonic() - t0 - seconds), 6
-                    ),
-                    "worker_pid": int(msg.get("pid", conn.pid)),
-                    "worker": conn.name,
-                    "executor": "tcp",
-                }
-            )
-            progress.tick(key)
-            runner._notify(
-                {
-                    "event": "item",
-                    "label": label,
-                    "scale": key.scale,
-                    "policy": key.policy,
-                    "workload": key.workload,
-                    "cached": False,
-                    "elapsed_s": round(seconds, 6),
-                    "worker_pid": int(msg.get("pid", conn.pid)),
-                    "worker": conn.name,
-                    "done": progress.done,
-                    "to_run": progress.to_run,
-                    "hits": hits,
-                }
-            )
-            if not aborted and runner.abort_cb is not None:
-                try:
-                    aborted = bool(runner.abort_cb())
-                except Exception:  # noqa: BLE001 - broken callback = abort
-                    aborted = True
-                if aborted:
-                    pending.clear()
-
-        def on_message(conn: _Conn, msg: dict[str, Any]) -> None:
-            nonlocal failure
-            conn.last_seen = time.monotonic()
-            kind = msg.get("type")
-            if kind == "heartbeat":
-                return
-            if kind == "hello":
-                if msg.get("version") != protocol.VERSION:
-                    self._queue(
-                        conn,
-                        protocol.error_msg(
-                            None,
-                            f"protocol version {msg.get('version')} != "
-                            f"{protocol.VERSION}",
-                        ),
-                    )
-                    requeue(self._drop(conn, "version mismatch"))
-                    return
-                conn.registered = True
-                conn.pid = int(msg.get("pid", 0))
-                conn.host = str(msg.get("host", conn.addr[0]))
-                conn.window = max(
-                    1, min(int(msg.get("window", 1)), self.settings.max_window)
-                )
-                self.workers_seen += 1
-                fill(conn)
-                return
-            if kind == "result":
-                on_result(conn, msg)
-                fill(conn)
-                return
-            if kind == "error":
-                failure = (
-                    f"worker {conn.name} failed on "
-                    f"{msg.get('key')}: {msg.get('error')}"
-                )
-                return
-            failure = f"worker {conn.name} sent unknown message {kind!r}"
-
-        try:
-            while (len(completed) < len(todo) and not failure
-                   and not (aborted and leased() == 0)):
-                for sel_key, _mask in self.selector.select(timeout=0.25):
-                    if sel_key.data is None:
-                        self._accept()
-                        continue
-                    conn = sel_key.data
-                    if _mask & selectors.EVENT_WRITE:
-                        self._flush(conn)
-                    if not (_mask & selectors.EVENT_READ):
-                        continue
-                    try:
-                        data = conn.sock.recv(1 << 20)
-                    except (BlockingIOError, InterruptedError):
-                        continue
-                    except OSError as exc:
-                        requeue(self._drop(conn, f"socket error: {exc}"))
-                        continue
-                    if not data:
-                        requeue(self._drop(conn, "connection closed"))
-                        continue
-                    try:
-                        messages = conn.decoder.feed(data)
-                    except protocol.ProtocolError as exc:
-                        requeue(self._drop(conn, f"protocol error: {exc}"))
-                        continue
-                    for msg in messages:
-                        on_message(conn, msg)
-                # liveness scan: silent workers lose their leases
-                deadline = time.monotonic() - self.settings.lease_timeout
-                for conn in [
-                    c for c in self.conns if c.last_seen < deadline
-                ]:
-                    requeue(self._drop(conn, "lease timeout"))
-        finally:
-            progress.close()
-            model.save()
-            runner.sweep_log.extend(timings)
-            parallel.append_sweep_trace(runner, timings)
-            runner._notify(
-                {
-                    "event": "sweep_end",
-                    "label": label,
-                    "executor": "tcp",
-                    "executed": executed,
-                    "hits": hits,
-                    "aborted": aborted,
-                }
-            )
-        if failure:
-            raise RuntimeError(
-                f"fabric sweep {label!r} failed: {failure}; completed work "
-                "is cached and journaled — re-run, optionally with --resume"
-            )
-        if aborted:
-            from repro.experiments.runner import SweepAborted
-
-            raise SweepAborted(
-                f"sweep {label!r} aborted after {executed} of {len(todo)} "
-                "simulations; completed work is cached and journaled"
-            )
-        return executed
 
 
 # --------------------------------------------------------------------------- #

@@ -6,7 +6,7 @@ scheduling state — it decodes each leased :class:`WorkItem`, rebuilds the
 traces from their seed-level specs (served by the shared on-disk
 trace-synthesis cache, so repeated sweeps pay synthesis once per host),
 runs the simulation through the exact same
-:func:`repro.experiments.parallel._run_item` entry point the local pool's
+:func:`repro.experiments.parallel.run_item` entry point the local pool's
 workers use, and streams the :class:`RunRecord` back.  Bit-identity is
 therefore inherited, not re-proven: a remote worker runs the same code on
 the same regenerated bytes as a local one.
@@ -18,8 +18,9 @@ socket writes (results and beacons) share one lock.
 
 The worker exits cleanly when the coordinator sends ``shutdown`` or
 closes the connection (coordinator process exited); an item that raises
-is reported with an ``error`` message and fails the sweep on the
-coordinator, mirroring how a local worker's exception propagates.
+is reported with an ``error`` message, which the coordinator raises as
+that item's exception, mirroring how a local worker's exception
+propagates.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ class Worker:
 
         Returns the number of simulations executed.
         """
-        from repro.experiments.parallel import _run_item
+        from repro.experiments.parallel import run_item
 
         self._sock = self._connect()
         beat = threading.Thread(
@@ -133,7 +134,7 @@ class Worker:
                     continue  # future message kinds are ignorable
                 item = protocol.decode_item(msg["item"])
                 try:
-                    key, rec, seconds, pid = _run_item(item)
+                    key, rec, seconds, worker = run_item(item)
                 except Exception:  # noqa: BLE001 - report, don't die
                     self.failed += 1
                     self._send(
@@ -141,7 +142,9 @@ class Worker:
                     )
                     continue
                 self.executed += 1
-                self._send(protocol.result_msg(key, rec, seconds, pid))
+                self._send(
+                    protocol.result_msg(key, rec, seconds, worker["worker_pid"])
+                )
         finally:
             self._stop.set()
             try:

@@ -7,6 +7,11 @@ fetch against the recorded outcome; tables and history are updated with the
 actual outcome immediately (the standard trace-driven idealization — history
 corruption by wrong-path fetch is not modelled, but wrong-path *resource
 usage* is, via the wrong-path injection in the fetch engine).
+
+A predictor built with ``resident=False`` keeps only the size, history
+length and counters of one whose tables the whole-loop C kernel
+(:mod:`repro.core.cloop`) holds, like the caches'
+:class:`~repro.memory.cache.NonResidentCache`.
 """
 
 from __future__ import annotations
@@ -18,13 +23,20 @@ class GShare:
     __slots__ = ("size", "_mask", "_table", "_history", "_hist_bits",
                  "lookups", "correct")
 
-    def __init__(self, entries: int, num_threads: int, hist_bits: int = 12) -> None:
+    def __new__(cls, *args, resident: bool = True, **kwargs):
+        return object.__new__(cls if resident else NonResidentGShare)
+
+    def __init__(
+        self, entries: int, num_threads: int, hist_bits: int = 12,
+        *, resident: bool = True,
+    ) -> None:
         if entries & (entries - 1):
             raise ValueError("gshare entries must be a power of two")
         self.size = entries
         self._mask = entries - 1
-        self._table = bytearray(b"\x02") * entries  # init weakly taken
-        self._history = [0] * num_threads
+        if resident:
+            self._table = bytearray(b"\x02") * entries  # init weakly taken
+            self._history = [0] * num_threads
         self._hist_bits = hist_bits
         self.lookups = 0
         self.correct = 0
@@ -81,6 +93,25 @@ class GShare:
         return self.lookups, self.correct
 
 
+class NonResidentGShare(GShare):
+    """A gshare whose pattern table and histories the whole-loop C kernel
+    holds; the kernel writes the counters back.  Predicting, training or
+    reading a history raises instead of answering from untrained tables.
+
+    A subclass, not a mode of :class:`GShare`: a check in ``update`` would
+    slow every branch of the Python engines."""
+
+    __slots__ = ()
+
+    def _in_kernel(self, *_args):
+        raise RuntimeError(
+            "gshare tables and histories live in the C kernel; "
+            "Python keeps only this predictor's counters"
+        )
+
+    predict = update = history = reset_thread = _in_kernel
+
+
 class IndirectPredictor:
     """Indirect-branch target predictor (Table 1: 4096 entries).
 
@@ -96,12 +127,18 @@ class IndirectPredictor:
 
     _EMPTY = -1
 
-    def __init__(self, entries: int, num_threads: int = 2) -> None:
+    def __new__(cls, *args, resident: bool = True, **kwargs):
+        return object.__new__(cls if resident else NonResidentIndirectPredictor)
+
+    def __init__(
+        self, entries: int, num_threads: int = 2, *, resident: bool = True
+    ) -> None:
         if entries & (entries - 1):
             raise ValueError("indirect predictor entries must be a power of two")
         self.size = entries
         self._mask = entries - 1
-        self._targets = [self._EMPTY] * entries
+        if resident:
+            self._targets = [self._EMPTY] * entries
         self.lookups = 0
         self.correct = 0
 
@@ -133,3 +170,18 @@ class IndirectPredictor:
     def reset_stats(self) -> None:
         self.lookups = 0
         self.correct = 0
+
+
+class NonResidentIndirectPredictor(IndirectPredictor):
+    """An indirect predictor whose target table the whole-loop C kernel
+    holds (see :class:`NonResidentGShare`)."""
+
+    __slots__ = ()
+
+    def _in_kernel(self, *_args):
+        raise RuntimeError(
+            "indirect-predictor targets live in the C kernel; "
+            "Python keeps only this predictor's counters"
+        )
+
+    predict = update = _in_kernel

@@ -21,9 +21,10 @@ cache uses, so identical work is never repeated):
 2. *item level* — each simulation about to launch first checks the
    in-flight table (another job already running this ``RunKey`` →
    coalesce) and then the disk cache (hit → complete instantly);
-3. *cache level* — everything that does run is written through
-   :meth:`ExperimentRunner._cache_put`, byte-identical to a direct
-   runner call, so future requests (and direct library users) hit it.
+3. *cache level* — everything that does run is merged through
+   :func:`repro.experiments.parallel.complete_item`, the completion path
+   every sweep uses, byte-identical to a direct runner call, so future
+   requests (and direct library users) hit it.
 
 **Fair sharing**: jobs decompose into single-simulation work items; a
 dispatcher hands free pool slots to items, one at a time, choosing the
@@ -42,8 +43,9 @@ across restarts (``scripts/resume_smoke.py --server`` asserts this).
 
 The event loop owns all mutable state; simulations run on the shared
 process pool (or an in-process thread pool with ``executor="thread"``)
-via ``run_in_executor``, and their completions re-enter the loop as
-callbacks.  No locks, no new dependencies.
+through the sweep engine's executor seam, ``submit(run_item, item)``, and
+their completions re-enter the loop as callbacks.  No locks, no new
+dependencies.
 """
 
 from __future__ import annotations
@@ -188,7 +190,7 @@ class Service:
                     thread_name_prefix="repro-sim",
                 )
             return self._thread_pool
-        return parallel._get_executor(self.settings.slots)
+        return parallel.get_executor(self.settings.slots)
 
     def _spawn(self, coro) -> asyncio.Task:
         task = asyncio.get_running_loop().create_task(coro)
@@ -263,7 +265,7 @@ class Service:
     def _build_items(
         self, runner: ExperimentRunner, spec: JobSpec
     ) -> list["WorkItem"]:
-        """(prep thread) pool workloads -> WorkItems, traces staged in shm."""
+        """(prep thread) pool workloads -> WorkItems."""
         workloads = spec.workloads(runner.pool)
         return parallel.sweep_items(
             runner, spec.config(), list(spec.policies), workloads,
@@ -317,7 +319,7 @@ class Service:
             self._publish_item(job, key, "coalesced")
             return
         runner = self._runner(job.spec.scale)
-        if parallel._is_complete(runner, item):
+        if parallel.is_complete(runner, item):
             job.hits += 1
             job.done_items += 1
             self.stats["cache_hits"] += 1
@@ -326,14 +328,11 @@ class Service:
             return
         self._free -= 1
         self.scheduler.on_dispatch(tenant)
-        model = parallel._get_cost_model()
-        exec_ = _ItemExec(key, item, tenant, runner, job, model.estimate(item))
+        estimate = parallel.cost_model().estimate(item)
+        exec_ = _ItemExec(key, item, tenant, runner, job, estimate)
         self._inflight[key] = exec_
-        names = None
-        if self.settings.executor == "process":
-            names = parallel.shm.store().names_for(item.specs()) or None
-        future = asyncio.get_running_loop().run_in_executor(
-            self._sim_pool(), parallel._run_item, item, names
+        future = asyncio.wrap_future(
+            self._sim_pool().submit(parallel.run_item, item)
         )
         future.add_done_callback(
             lambda fut, exec_=exec_: self._on_done(exec_, fut)
@@ -378,28 +377,15 @@ class Service:
                 self._fail_job(job, f"simulation failed: {exc}")
             self._wakeup()
             return
-        key, record, seconds, worker_pid = future.result()
-        runner = exec_.runner
-        runner._cache_put(key, record)
-        runner._mark_complete(key)
-        runner.sims_run += 1
+        result = future.result()
+        parallel.complete_item(
+            exec_.runner, exec_.item, result,
+            label=f"service:{exec_.jobs[0].id}",
+            predicted_s=exec_.estimate, submitted=exec_.t0,
+        )
+        key, _record, seconds, _worker = result
         self.scheduler.on_complete(exec_.tenant, seconds)
-        model = parallel._get_cost_model()
-        model.observe(exec_.item, seconds)
         self.stats["executed_items"] += 1
-        timing = {
-            "label": f"service:{exec_.jobs[0].id}",
-            "scale": key.scale,
-            "policy": key.policy,
-            "workload": key.workload,
-            "backend": exec_.item.backend or runner.backend,
-            "predicted_s": round(exec_.estimate, 6),
-            "elapsed_s": round(seconds, 6),
-            "wait_s": round(time.perf_counter() - exec_.t0 - seconds, 6),
-            "worker_pid": worker_pid,
-        }
-        runner.sweep_log.append(timing)
-        parallel.append_sweep_trace(runner, [timing])
         for position, job in enumerate(dict.fromkeys(exec_.jobs)):
             if job.state in TERMINAL:
                 continue

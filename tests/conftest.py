@@ -37,7 +37,7 @@ def _isolated_trace_cache(tmp_path_factory):
 @pytest.fixture(scope="session", autouse=True)
 def _isolated_cost_model(tmp_path_factory):
     """Point sweep-scheduler cost-model persistence at a temp file so test
-    sweeps never rewrite the checked-in ``benchmarks/results/cost_model.json``."""
+    sweeps never rewrite the user's ``~/.cache/repro/cost_model.json``."""
     import os
 
     old = os.environ.get("REPRO_COST_MODEL")
@@ -49,6 +49,22 @@ def _isolated_cost_model(tmp_path_factory):
         os.environ.pop("REPRO_COST_MODEL", None)
     else:
         os.environ["REPRO_COST_MODEL"] = old
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _isolated_kernel_cache(tmp_path_factory):
+    """Build the C kernels into a per-session temp directory, so a suite
+    run never adds a build to the user's ``~/.cache/repro/ckernel`` (at
+    the price of one cold kernel build per session)."""
+    import os
+
+    old = os.environ.get("REPRO_CKERNEL_CACHE")
+    os.environ["REPRO_CKERNEL_CACHE"] = str(tmp_path_factory.mktemp("ckernel"))
+    yield
+    if old is None:
+        os.environ.pop("REPRO_CKERNEL_CACHE", None)
+    else:
+        os.environ["REPRO_CKERNEL_CACHE"] = old
 
 
 @pytest.fixture

@@ -9,9 +9,10 @@ These tests pin that:
 * construction adds a few dozen collector-tracked objects, not the
   thousands of per-set lists of the Python caches;
 * a kernel run leaves the traces' Python-engine columns unbuilt;
-* reading a kernel-owned cache's contents raises instead of answering
-  from lists nothing updates, while a machine that falls back (no
-  kernel, telemetry) keeps and reads its Python caches;
+* reading a kernel-owned cache's contents, or predicting from its
+  branch predictors, raises instead of answering from lists and tables
+  nothing updates, while a machine that falls back (no kernel,
+  telemetry) keeps and reads its Python caches and predictors;
 * a prewarm that overflows L2 sets evicts in the C kernel exactly as
   the Python LRU does.
 """
@@ -89,8 +90,8 @@ def machine(request, config, ilp_trace, mem_trace, monkeypatch):
 
 
 def test_cache_contents_readable_only_on_python_machines(machine):
-    """Only a machine that runs in Python keeps cache contents; on a
-    kernel-owned one, every read of them raises."""
+    """Only a machine that runs in Python keeps cache contents and
+    predictor tables; on a kernel-owned one, every read of them raises."""
     mode, proc = machine
     proc.run_cycles(2_000)
     stores = [
@@ -100,6 +101,8 @@ def test_cache_contents_readable_only_on_python_machines(machine):
     rec = proc.threads[0].trace.records  # thread 0's ILP lines: prewarmed
     is_mem = np.isin(rec["opclass"], (int(UopClass.LOAD), int(UopClass.STORE)))
     line = int(rec["mem_line"][is_mem][0])
+    pc = int(rec["pc"][0])
+    gshare, indirect = proc.predictor, proc.ipredictor
     assert proc.kernel_active() == (mode == "kernel")
     if mode == "kernel":
         with pytest.raises(RuntimeError, match="L2 contents live in the C kernel"):
@@ -110,10 +113,28 @@ def test_cache_contents_readable_only_on_python_machines(machine):
             with pytest.raises(RuntimeError, match="C kernel"):
                 store._sets  # noqa: B018
         assert proc.mem.l2.accesses > 0  # the counters still come back
+        for call in (
+            lambda: gshare.predict(0, pc),
+            lambda: gshare.update(0, pc, True),
+            lambda: gshare.history(0),
+            lambda: indirect.predict(0, pc),
+            lambda: indirect.update(0, pc, 1),
+        ):
+            with pytest.raises(RuntimeError, match="C kernel"):
+                call()
+        for pred, table in ((gshare, "_table"), (gshare, "_history"),
+                            (indirect, "_targets")):
+            assert not hasattr(pred, table)
+        assert gshare.lookups > 0
     else:
         assert proc.mem.l2.probe(line)
         assert all(store.occupancy() > 0 for store in stores)
         assert all(t.cols.pc for t in proc.threads)
+        assert bytes(gshare._table) != b"\x02" * gshare.size  # trained
+        assert gshare.predict(0, pc) in (True, False)
+        assert gshare.history(0) >= 0
+        assert indirect.predict(0, pc) >= -1
+        assert gshare.lookups > 0
 
 
 def _tiny_l2(config):

@@ -1,8 +1,8 @@
-"""Sweep execution engine: pool lifecycle, cost model, shm, progress.
+"""Sweep execution engine: pool lifecycle, cost model, progress.
 
 ``test_parallel.py`` pins the correctness contract (parallel == serial,
 bit for bit); this file pins the *engine* around it — the persistent
-executor, the shared-memory trace store and its fallback, the cost-model
+executor, workers that synthesize their own traces, the cost-model
 calibration that drives LPT dispatch, and the hit/ran/total progress
 reporting.
 """
@@ -16,11 +16,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from repro.experiments import costmodel, parallel, shm
-from repro.experiments.parallel import TraceSpec, WorkItem, _Progress, resolve_jobs
+from repro.experiments import costmodel, parallel
+from repro.experiments.parallel import WorkItem, _Progress, resolve_jobs
 from repro.experiments.runner import ExperimentRunner, RunKey, figure2_config
 from repro.trace.workloads import build_pool
 
@@ -140,6 +139,15 @@ def test_cost_model_env_disable(monkeypatch):
     assert model.save() is False
 
 
+def test_cost_model_defaults_to_the_user_cache(monkeypatch, tmp_path):
+    """Calibration persists under the user's cache, never inside the
+    checkout, where every parallel sweep would rewrite a tracked file."""
+    monkeypatch.delenv("REPRO_COST_MODEL", raising=False)
+    monkeypatch.setenv("HOME", str(tmp_path))
+    path = costmodel.default_path()
+    assert path == tmp_path / ".cache" / "repro" / "cost_model.json"
+
+
 # -- progress reporting -----------------------------------------------------
 
 
@@ -185,12 +193,12 @@ def test_executor_persists_across_sweeps(pool, tmp_path):
 
 def test_executor_grows_on_demand(pool):
     parallel.shutdown()
-    parallel._get_executor(1)
+    parallel.get_executor(1)
     assert parallel._executor_jobs == 1
-    parallel._get_executor(3)
+    parallel.get_executor(3)
     assert parallel._executor_jobs == 3  # grew
     big = parallel._executor
-    parallel._get_executor(2)
+    parallel.get_executor(2)
     assert parallel._executor is big  # smaller request reuses the big pool
     parallel.shutdown()
     assert parallel._executor is None
@@ -205,47 +213,17 @@ def test_fully_cached_sweep_skips_pool(pool, tmp_path):
     cached = ExperimentRunner("smoke", pool=pool, cache_dir=tmp_path, jobs=4)
     cached.sweep(config, ["icount"])
     assert cached.sims_run == 0
-    assert parallel._executor is None  # run_items returned before _get_executor
+    assert parallel._executor is None  # run_items returned before get_executor
 
 
-# -- shared-memory trace store ----------------------------------------------
-
-
-def test_shm_publish_attach_roundtrip(pool):
-    if not shm.enabled():
-        pytest.skip("shared memory unavailable on this host")
-    tr = pool.workloads[0].traces[0]
-    spec = TraceSpec.of(tr)
-    store = shm.TraceStore()
-    store.stage(spec, tr.records)
-    assert len(store) == 0  # publication is deferred until needed
-    names = store.names_for([spec])
-    assert spec in names and len(store) == 1
-    view = shm.attach(names[spec], spec.n_uops)
-    assert view is not None
-    assert np.array_equal(np.asarray(view), tr.records)
-    store.release()
-    assert len(store) == 0
-
-
-def test_shm_attach_unknown_name_falls_back():
-    assert shm.attach("repro_nonexistent_segment", 100) is None
-
-
-def test_shm_disabled_by_env(pool, monkeypatch):
-    monkeypatch.setenv("REPRO_SHM", "0")
-    assert not shm.enabled()
-    store = shm.TraceStore()
-    tr = pool.workloads[0].traces[0]
-    spec = TraceSpec.of(tr)
-    store.stage(spec, tr.records)
-    assert store.names_for([spec]) == {}  # workers rebuild from seeds
+# -- workers without a trace cache -----------------------------------------
 
 
 def test_sweep_without_shm_matches_serial(pool, monkeypatch):
-    """REPRO_SHM=0 exercises the spec-rebuild fallback end to end."""
+    """With the trace cache off, pool workers synthesize every trace from
+    its seed: the slowest trace path, end to end."""
     parallel.shutdown()
-    monkeypatch.setenv("REPRO_SHM", "0")
+    monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
     config = figure2_config(32)
     serial = ExperimentRunner("smoke", pool=pool)
     par = ExperimentRunner("smoke", pool=pool, jobs=2)

@@ -177,7 +177,7 @@ def test_silent_worker_leases_expire_and_requeue(pool, tmp_path):
 
     threading.Thread(target=_late_worker, daemon=True).start()
     try:
-        executed = hub.run_items(runner, items, label="expiry")
+        executed = parallel.run_items(runner, items, hub, label="expiry")
     finally:
         hub.close()
     assert executed == len(items)
@@ -210,7 +210,7 @@ def test_worker_death_requeues_to_survivor(pool, tmp_path):
     leech.start()
     threading.Thread(target=_kill_leech_then_help, daemon=True).start()
     try:
-        executed = hub.run_items(runner, items, label="crash")
+        executed = parallel.run_items(runner, items, hub, label="crash")
     finally:
         hub.close()
     assert executed == len(items)
@@ -237,8 +237,10 @@ class _DoubleSender(threading.Thread):
                 if msg["type"] != "item":
                     continue
                 item = protocol.decode_item(msg["item"])
-                key, rec, seconds, pid = parallel._run_item(item)
-                reply = protocol.result_msg(key, rec, seconds, pid)
+                key, rec, seconds, worker = parallel.run_item(item)
+                reply = protocol.result_msg(
+                    key, rec, seconds, worker["worker_pid"]
+                )
                 protocol.send_msg(sock, reply)
                 protocol.send_msg(sock, reply)
                 self.sent += 2
@@ -259,7 +261,7 @@ def test_duplicate_results_are_discarded(pool, tmp_path):
     doubler = _DoubleSender(hub.port)
     doubler.start()
     try:
-        executed = hub.run_items(runner, items, label="dupes")
+        executed = parallel.run_items(runner, items, hub, label="dupes")
     finally:
         hub.close()
     assert doubler.sent == 2 * len(items)
@@ -293,7 +295,7 @@ def test_version_mismatch_is_refused(pool, tmp_path):
 
     threading.Thread(target=_old_worker, daemon=True).start()
     try:
-        executed = hub.run_items(runner, items, label="version")
+        executed = parallel.run_items(runner, items, hub, label="version")
     finally:
         hub.close()
     assert executed == len(items)
@@ -332,6 +334,6 @@ def test_worker_error_fails_the_sweep(pool, tmp_path):
     threading.Thread(target=_broken_worker, daemon=True).start()
     try:
         with pytest.raises(RuntimeError, match="boom"):
-            hub.run_items(runner, items, label="boom")
+            parallel.run_items(runner, items, hub, label="boom")
     finally:
         hub.close()

@@ -116,10 +116,10 @@ def test_item_survives_json_wire_format(items):
 
 
 def test_record_roundtrip(items):
-    from repro.experiments.parallel import _run_item
+    from repro.experiments.parallel import run_item
 
-    key, rec, seconds, pid = _run_item(items[0])
-    msg = protocol.result_msg(key, rec, seconds, pid)
+    key, rec, seconds, worker = run_item(items[0])
+    msg = protocol.result_msg(key, rec, seconds, worker["worker_pid"])
     decoder = protocol.FrameDecoder()
     (wire,) = decoder.feed(protocol.pack(msg))
     assert protocol.decode_key(wire["key"]) == key
