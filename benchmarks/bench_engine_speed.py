@@ -58,8 +58,7 @@ def bench_cycle_loop_icount(benchmark, speed_log):
 
     def run():
         proc = Processor(config, make_policy("icount"), traces)
-        while not proc.any_done() and proc.cycle < 100_000:
-            proc.step_fast(100_000)
+        proc.run_loop(100_000)
         return proc.stats.committed
 
     committed = benchmark(run)
@@ -73,8 +72,7 @@ def bench_cycle_loop_cdprf(benchmark, speed_log):
 
     def run():
         proc = Processor(config, make_policy("cdprf", interval=1024), traces)
-        while not proc.any_done() and proc.cycle < 100_000:
-            proc.step_fast(100_000)
+        proc.run_loop(100_000)
         return proc.stats.committed
 
     committed = benchmark(run)
@@ -111,16 +109,14 @@ def bench_cycle_loop_telemetry_off(benchmark, speed_log):
 
     def run():
         proc = Processor(config, make_policy("cdprf", interval=1024), traces)
-        while not proc.any_done() and proc.cycle < 100_000:
-            proc.step_fast(100_000)
+        proc.run_loop(100_000)
         return proc.stats.committed
 
     def run_baseline():
         proc = Processor(
             config, make_policy("cdprf", interval=1024), traces, telemetry=None
         )
-        while not proc.any_done() and proc.cycle < 100_000:
-            proc.step_fast(100_000)
+        proc.run_loop(100_000)
 
     committed = benchmark(run)
     assert committed > 0
@@ -154,8 +150,7 @@ def bench_cycle_loop_telemetry_on(benchmark, speed_log):
         proc = Processor(
             config, make_policy("cdprf", interval=1024), traces, telemetry=tel
         )
-        while not proc.any_done() and proc.cycle < 100_000:
-            proc.step_fast(100_000)
+        proc.run_loop(100_000)
         return proc.stats.committed
 
     committed = benchmark(run)
@@ -170,8 +165,7 @@ def bench_cycle_loop_mem_bound(benchmark, speed_log):
 
     def run():
         proc = Processor(config, make_policy("icount"), traces)
-        while not proc.any_done() and proc.cycle < 200_000:
-            proc.step_fast(200_000)
+        proc.run_loop(200_000)
         return proc.stats.committed
 
     committed = benchmark(run)
@@ -271,54 +265,6 @@ def bench_cycle_loop_cdprf_cloop(benchmark, speed_log):
     in the C policy table (the identity assert below covers them)."""
     _bench_cloop(benchmark, speed_log, "cycle_loop_cdprf_cloop", "cdprf",
                  _traces(), 100_000)
-
-
-def bench_cycle_loop_ff_on(benchmark, speed_log):
-    """Fast-forward showcase: a stall-heavy MEM pair under the Stall scheme.
-
-    L2-miss gating leaves the machine fully idle for most of its cycles,
-    which is exactly the window the event-horizon engine jumps over; the
-    recorded mean pairs with ``cycle_loop_ff_off`` to document the speedup.
-    The run also asserts the engine's contract in place: identical final
-    stats to the pure-stepping run in ``bench_cycle_loop_ff_off``.
-    """
-    traces = _mem_traces()
-    config = baseline_config()
-
-    def run():
-        proc = Processor(config, make_policy("stall"), traces)
-        while not proc.any_done() and proc.cycle < 200_000:
-            proc.step_fast(200_000)
-        return proc
-
-    proc = benchmark(run)
-    assert proc.stats.committed > 0
-    assert proc.ff_skipped_cycles > 0, "stall/mem run should fast-forward"
-    reference = Processor(config, make_policy("stall"), traces)
-    while not reference.any_done() and reference.cycle < 200_000:
-        reference.step()
-    assert (
-        proc.finalize_stats().as_dict() == reference.finalize_stats().as_dict()
-    ), "fast-forward diverged from pure stepping"
-    _record(speed_log, "cycle_loop_ff_on", benchmark)
-
-
-def bench_cycle_loop_ff_off(benchmark, speed_log):
-    """The same stall-heavy MEM pair stepped cycle by cycle (the old
-    engine's behaviour); the ratio to ``cycle_loop_ff_on`` is the
-    fast-forward speedup on its best-case workload."""
-    traces = _mem_traces()
-    config = baseline_config()
-
-    def run():
-        proc = Processor(config, make_policy("stall"), traces)
-        while not proc.any_done() and proc.cycle < 200_000:
-            proc.step()
-        return proc.stats.committed
-
-    committed = benchmark(run)
-    assert committed > 0
-    _record(speed_log, "cycle_loop_ff_off", benchmark)
 
 
 def bench_sweep_smoke(benchmark, speed_log):

@@ -65,7 +65,7 @@ def make_run(args):
 
     def run():
         proc = proc_cls(config, make_policy(args.policy, **policy_kw), traces)
-        proc.run_loop(args.max_cycles, use_ff=not args.no_ff)
+        proc.run_loop(args.max_cycles)
         return proc
 
     return run
@@ -97,7 +97,7 @@ def line_profile(args, run) -> int:
         lp.add_function(cloop_mod._CloopContext.export)
     else:
         for fn in (
-            processor.Processor.step_fast,
+            processor.Processor.step,
             processor.Processor._issue,
             processor.Processor._rename_one,
             processor.Processor._dispatch_uop,
@@ -151,8 +151,7 @@ def compare(args) -> int:
             key=lambda kv: -kv[1],
         )[: args.top]
 
-    print(f"policy={args.policy} kind={args.kind} n_uops={args.n_uops} "
-          f"ff={not args.no_ff}\n")
+    print(f"policy={args.policy} kind={args.kind} n_uops={args.n_uops}\n")
     print(f"{'backend':<12} {'wall ms':>9} {'cycles':>9} {'committed':>10}")
     base = summary[0][1]
     for backend, wall, cycles, committed, _ in summary:
@@ -190,8 +189,6 @@ def main(argv=None) -> int:
                     help="workload pair to simulate")
     ap.add_argument("--n-uops", type=int, default=4000)
     ap.add_argument("--max-cycles", type=int, default=100_000)
-    ap.add_argument("--no-ff", action="store_true",
-                    help="disable fast-forward (profile pure stepping)")
     ap.add_argument("--top", type=int, default=25,
                     help="rows to print per ordering")
     ap.add_argument("--out", type=Path, default=None,

@@ -60,14 +60,3 @@ class Interconnect:
 
     def pending_count(self) -> int:
         return len(self._pending) + len(self._in_flight)
-
-    def quiescent(self) -> bool:
-        """No transfer queued or in flight.
-
-        The fast-forward engine may only skip cycles while this holds: a
-        queued transfer consumes link bandwidth (and accrues
-        ``queue_wait_cycles``) every cycle, and an in-flight one delivers a
-        wakeup at its arrival cycle — copies are short-lived, so treating
-        any of them as activity is cheaper than tracking their horizon.
-        """
-        return not self._pending and not self._in_flight

@@ -95,13 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "mispredict resolutions) in the event trace",
     )
     p_run.add_argument(
-        "--no-fast-forward",
-        action="store_true",
-        help="step every cycle instead of jumping over provably idle "
-        "windows (results are bit-identical; this exists for validating "
-        "and benchmarking the fast-forward engine)",
-    )
-    p_run.add_argument(
         "--backend",
         choices=BACKENDS,
         default=None,
@@ -119,12 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="worker processes (default: REPRO_JOBS or all cores)",
-    )
-    p_fig.add_argument(
-        "--no-fast-forward",
-        action="store_true",
-        help="step every cycle in every simulation (bit-identical results; "
-        "for engine validation)",
     )
     p_fig.add_argument(
         "--resume",
@@ -604,7 +591,6 @@ def main(argv: list[str] | None = None) -> int:
             prewarm_caches=True,
             max_cycles=runner.scale.max_cycles,
             telemetry=tel,
-            fast_forward=False if args.no_fast_forward else None,
             backend=args.backend,
         )
         if tel is not None:
@@ -639,7 +625,6 @@ def main(argv: list[str] | None = None) -> int:
             args.scale,
             cache_dir=args.cache_dir,
             jobs=resolve_jobs(args.jobs),
-            fast_forward=False if args.no_fast_forward else None,
             resume=args.resume,
             backend=args.backend,
             executor=args.executor,

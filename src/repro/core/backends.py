@@ -3,11 +3,10 @@
 The simulator has one *semantic* definition of the machine — the
 reference interpreter in :mod:`repro.core.processor` — and may have any
 number of faster *engines* that execute those semantics.  A backend is a
-:class:`~repro.core.processor.Processor` subclass that produces
-bit-identical statistics and telemetry for every policy, with
-fast-forward on or off; the cross-backend identity suite
-(``tests/core/test_backend_identity.py``) is the gate that keeps that
-guarantee honest.
+:class:`~repro.core.processor.Processor` subclass that steps every cycle
+and produces bit-identical statistics and telemetry for every policy;
+the cross-backend identity suite (``tests/core/test_backend_identity.py``)
+is the gate that keeps that guarantee honest.
 
 Registered engines:
 

@@ -5,8 +5,8 @@ because the per-cycle FFI call costs what the scan it replaces costs.
 This backend moves the **entire cycle loop** across the C boundary so
 the call cost amortizes over thousands of cycles: fetch, rename, issue,
 writeback, commit, copy generation, the inter-cluster interconnect
-queues, the event wheel and the Tier-A/Tier-B fast-forward jump all
-execute in one resident C kernel, and Python is re-entered only at
+queues and the event wheel all execute in one resident C kernel, which
+steps every cycle like the Python engines.  Python is re-entered only at
 *observable-event boundaries* — region exit (limit / stop condition),
 the deadlock watchdog, and any configuration the C policy table cannot
 express.
@@ -19,15 +19,14 @@ uop is an integer slot in a recycled pool of parallel columns rather
 than a ``Uop`` object.  The transcription preserves
 
 * the exact phase order (commit, writeback, fills, copy delivery,
-  issue, imbalance probe, rename, fetch, watchdog, jump) and every
+  issue, imbalance probe, rename, fetch, watchdog) and every
   intra-phase visitation order;
 * the lazy-deletion discipline on packed ``(age << SLOT_BITS) | slot``
   keys — ages are globally unique, so any correct binary min-heap pops
   the same key sequence as CPython's ``heapq``;
 * the memory-system transcriptions (list-LRU caches, bus arbitration,
   fill coalescing, gshare/indirect predictors) down to counter order;
-* every stats/epoch/memo update, including the rename-stall memo and
-  the Tier-B replay bookkeeping the fast-forward jump depends on.
+* every stats/epoch/memo update, including the rename-stall memo.
 
 The *C policy table* covers all ten of the paper's schemes, and none
 of them crosses the FFI boundary mid-region.  Each is Icount (the
@@ -38,13 +37,11 @@ Python policies and the ``vectorized`` engine's hook call sites:
 * Stall and Flush+: the issue-time ``on_l2_miss`` rule (the rename
   gate; flush-with-rewind with first-misser-continues, which is why the
   issue stage selects first and executes afterwards) and
-  ``on_l2_fill``, with Stall's ``stalled_thread_cycles`` and its
-  fast-forward account;
+  ``on_l2_fill``, with Stall's ``stalled_thread_cycles``;
 * CSSPRF, CISPRF and CDPRF: CSSP plus per-(thread, class, cluster)
   register counts at every allocation and free, the static caps over
   the files' live capacity, and CDPRF's reserve-then-share admission,
-  Starvation/RFOC tick and interval end (which no fast-forward jump
-  crosses).
+  Starvation/RFOC tick and interval end.
 
 The table matches exact types.  What still runs on the inherited
 ``vectorized`` engine, and why (``_cl_error`` names the reason):
@@ -158,8 +155,7 @@ long long cloop_set_trace(void *cp, long long tid, long long n,
 void cloop_prewarm(void *cp, const long long *lines, long long n);
 void cloop_seed_policy(void *cp, const long long *state);
 long long cloop_run(void *cp, long long limit, long long stop_mode,
-                    long long commit_target, long long use_ff,
-                    long long single);
+                    long long commit_target, long long single);
 long long cloop_export(void *cp, long long *out, long long cap);
 void cloop_reset_stats(void *cp);
 long long cloop_err(void *cp, long long which);
@@ -548,8 +544,7 @@ typedef struct cloop {
 
     /* global machine scalars */
     i64 cycle, age, commit_rr, last_commit, epoch, finished_count;
-    i64 policy_rr, ff_jumps, ff_skipped;
-    i64 rename_attempted, fresh_cycle, replay_cycle;
+    i64 policy_rr;
 
     /* stats (zeroed by cloop_reset_stats) */
     i64 s_cycles, s_committed, s_renamed, s_fetched, s_issued;
@@ -561,7 +556,6 @@ typedef struct cloop {
     i64 s_flushes, s_stalled;     /* Flush+ flushes, Stall gated cycles */
     i64 *cpt;                     /* committed per thread */
 
-    vec creplays;                 /* (tid << 3) | cause */
     i64 err, erra;
 } cloop;
 
@@ -609,15 +603,6 @@ static void wheel_push(cloop *c, imap *m, i64 cycle, i64 val) {
         imap_put(m, cycle, bi);
     }
     vec_push(&c->pool[bi], val);
-}
-
-static i64 wheel_min(const imap *m) {
-    i64 best = -1;
-    for (i64 i = 0; i < m->cap; i++) {
-        i64 k = m->keys[i];
-        if (k != EMPTYK && k != TOMBK && (best < 0 || k < best)) best = k;
-    }
-    return best;
 }
 
 /* ---- register files ----
@@ -1150,26 +1135,6 @@ static void cdprf_on_cycle(cloop *c, i64 cycle) {
     c->epoch++;
 }
 
-/* ---- policy ff_cycles: replay `span` frozen cycles of on_cycle in
- * closed form; 0 vetoes the jump ---- */
-static int policy_ff_cycles(cloop *c, i64 span) {
-    if (c->policy_kind == K_STALL) {
-        for (i64 ti = 0; ti < c->n_threads; ti++)
-            if (c->t[ti].gated) c->s_stalled += span;
-    } else if (c->policy_kind == K_CDPRF) {
-        for (i64 ti = 0; ti < c->n_threads; ti++)
-            if (c->t[ti].starved_now[0] || c->t[ti].starved_now[1]) return 0;
-        for (i64 ti = 0; ti < c->n_threads; ti++) {
-            tctx *t = &c->t[ti];
-            for (int k = 0; k < 2; k++) {
-                t->starv[k] = 0;
-                t->rfoc[k] += total_usage(t, k) * span;
-            }
-        }
-    }
-    return 1;
-}
-
 /* ---- policy admission (transcribes may_dispatch_group loops) ---- */
 static int may_dispatch_group(cloop *c, i64 tid, i64 n0, i64 n1) {
     switch (c->policy_kind) {
@@ -1302,7 +1267,7 @@ _C_RUN = r"""
  * Exit codes: 0 = limit, 1 = stop condition ("done"), 2 = watchdog,
  * 3 = pool past max_slots, 4 = machine invariant error (see err). */
 long long cloop_run(void *cp, i64 limit, i64 stop_mode, i64 commit_target,
-                    i64 use_ff, i64 single) {
+                    i64 single) {
     cloop *c = (cloop *)cp;
     const i64 SM = (1LL << c->slot_bits) - 1;
     const i64 SB = c->slot_bits;
@@ -1327,20 +1292,8 @@ long long cloop_run(void *cp, i64 limit, i64 stop_mode, i64 commit_target,
             continue;   /* == Python's return-False + re-enter */
         }
 
-        /* ---- fast-forward candidacy ---- */
-        i64 nxt = cycle + 1;
-        int candidate = 0;
-        i64 squash_before = 0;
-        if (use_ff && !imap_has(&c->ev_map, nxt) &&
-            !imap_has(&c->fill_map, nxt) && !c->icn_pending.n &&
-            !c->icn_when.n) {
-            candidate = 1;
-            squash_before = c->s_squashed;
-        }
-        int active = 0;
-
-        cycle = nxt;
-        c->cycle = nxt;
+        cycle++;
+        c->cycle = cycle;
 
         /* policy tick (on_cycle) */
         if (c->policy_kind == K_STALL) {
@@ -1414,7 +1367,6 @@ long long cloop_run(void *cp, i64 limit, i64 stop_mode, i64 commit_target,
                 c->epoch += committed;
                 c->last_commit = cycle;
                 c->s_committed += committed;
-                active = 1;
             }
         }
 
@@ -1510,7 +1462,6 @@ long long cloop_run(void *cp, i64 limit, i64 stop_mode, i64 commit_target,
                     c->s_copies_arrived++;
                     if (c->p_orph[sl]) c->free_slots[c->free_n++] = sl;
                 }
-                active = 1;
             }
         }
 
@@ -1606,7 +1557,6 @@ long long cloop_run(void *cp, i64 limit, i64 stop_mode, i64 commit_target,
                 c->epoch += n_issued;
                 c->s_issued += n_issued;
                 c->s_issue_cycles++;
-                active = 1;
             }
             bits[ci] = (b0 ? 1 : 0) | (b1 ? 2 : 0) | (b2 ? 4 : 0);
         }
@@ -1634,10 +1584,7 @@ long long cloop_run(void *cp, i64 limit, i64 stop_mode, i64 commit_target,
                     probed = 1;
                 }
             }
-            if (probed) {
-                c->s_imb_cycles++;
-                active = 1;
-            }
+            if (probed) c->s_imb_cycles++;
         }
 """
 # --------------------------------------------------------------------- #
@@ -1649,7 +1596,6 @@ _C_RUN2 = r"""
         {
             i64 excluded = 0;
             i64 sel_left = c->n_threads;
-            int first_attempt = 1;
             i64 epoch = c->epoch;
             for (;;) {
                 /* selection (inlined IcountPolicy.rename_select) */
@@ -1668,10 +1614,6 @@ _C_RUN2 = r"""
                     }
                 }
                 if (best >= 0) c->policy_rr = (best + 1) % c->n_threads;
-                if (first_attempt) {
-                    first_attempt = 0;
-                    c->rename_attempted = best >= 0;
-                }
                 if (best < 0) break;
                 i64 tid = best;
                 tctx *t = &c->t[tid];
@@ -1690,11 +1632,6 @@ _C_RUN2 = r"""
                         t->memo_gen == genm && t->memo_epoch == epoch) {
                         /* inlined _replay_rename_stall */
                         i64 primary = t->memo_cause;
-                        if (c->replay_cycle != cycle) {
-                            c->replay_cycle = cycle;
-                            c->creplays.n = 0;
-                        }
-                        vec_push(&c->creplays, (tid << 3) | primary);
                         c->rsc[primary]++;
                         if (primary == CAUSE_IQ) {
                             c->s_iq_stalls++;
@@ -1707,8 +1644,6 @@ _C_RUN2 = r"""
                         }
                         break;
                     }
-                    /* non-memoized attempt: no Tier B jump this cycle */
-                    c->fresh_cycle = cycle;
                     if (!c->rob_unbounded && t->rob.n >= c->rob_cap) {
                         c->rsc[CAUSE_ROB]++;
                         if (c->memo_on) {
@@ -1938,10 +1873,7 @@ _C_RUN2 = r"""
                     ring_popleft(&t->fq);
                     renamed_n++;
                 }
-                if (renamed_n) {
-                    active = 1;
-                    break;
-                }
+                if (renamed_n) break;
                 /* structurally blocked; give the slot away */
                 sel_left--;
                 if (sel_left == 0) break;
@@ -1977,7 +1909,6 @@ _C_RUN2 = r"""
                 else
                     first_pc = t->cpc[t->cursor];
                 i64 stall = tc_lookup(c, first_pc);
-                active = 1;   /* the TC lookup moved hits/misses */
                 if (stall > 0) {
                     t->fbu = cycle + stall;
                 } else {
@@ -2097,64 +2028,6 @@ _C_RUN2 = r"""
         if (cycle - c->last_commit > c->watchdog) {
             c->cycle = cycle;
             return 2;
-        }
-
-        /* ---- fast-forward jump (step_fast post-check) ---- */
-        if (candidate && !active && c->s_squashed == squash_before) {
-            int do_jump = 0, tier_b = 0;
-            if (c->rename_attempted) {
-                /* Tier B: every rename attempt was a memoized replay */
-                if (c->fresh_cycle != cycle && c->replay_cycle == cycle) {
-                    do_jump = 1;
-                    tier_b = 1;
-                }
-            } else {
-                do_jump = 1;
-            }
-            if (do_jump) {
-                i64 h = limit;
-                i64 m = wheel_min(&c->ev_map);
-                if (m >= 0 && m < h) h = m;
-                m = wheel_min(&c->fill_map);
-                if (m >= 0 && m < h) h = m;
-                for (i64 ti = 0; ti < c->n_threads; ti++) {
-                    i64 b = c->t[ti].fbu;
-                    if (cycle < b && b < h) h = b;
-                    b = c->t[ti].rbu;
-                    if (cycle < b && b < h) h = b;
-                }
-                if (c->policy_kind == K_CDPRF) {
-                    /* never jump across an interval boundary */
-                    i64 b = cycle - cycle % c->interval + c->interval;
-                    if (b < h) h = b;
-                }
-                i64 wd = c->last_commit + c->watchdog + 1;
-                if (wd < h) h = wd;
-                i64 target = h - 1;
-                if (target > cycle && policy_ff_cycles(c, target - cycle)) {
-                    i64 skipped = target - cycle;
-                    cycle = target;
-                    c->cycle = target;
-                    c->s_cycles += skipped;
-                    c->commit_rr =
-                        (c->commit_rr + skipped) % c->n_threads;
-                    if (tier_b) {
-                        for (i64 i = 0; i < c->creplays.n; i++) {
-                            i64 pr = c->creplays.d[i] & 7;
-                            c->rsc[pr] += skipped;
-                            if (pr == CAUSE_IQ) {
-                                c->s_iq_stalls += skipped;
-                                c->s_iq_block_stalls += skipped;
-                            } else if (pr == CAUSE_RF_INT ||
-                                       pr == CAUSE_RF_FP) {
-                                c->rse[pr - CAUSE_RF_INT] += skipped;
-                            }
-                        }
-                    }
-                    c->ff_jumps++;
-                    c->ff_skipped += skipped;
-                }
-            }
         }
 
         if (warmup && c->finished_count > 0) { rc = 1; break; }
@@ -2417,7 +2290,7 @@ void cloop_seed_policy(void *cp, const i64 *v) {
 
 long long cloop_export(void *cp, i64 *out, i64 cap) {
     cloop *c = (cloop *)cp;
-    i64 need = 90 + (17 + POLICY_STATE) * c->n_threads;
+    i64 need = 85 + (17 + POLICY_STATE) * c->n_threads;
     if (cap < need) return -1;
     i64 q = 0;
     out[q++] = c->cycle;
@@ -2427,11 +2300,6 @@ long long cloop_export(void *cp, i64 *out, i64 cap) {
     out[q++] = c->epoch;
     out[q++] = c->finished_count;
     out[q++] = c->policy_rr;
-    out[q++] = c->ff_jumps;
-    out[q++] = c->ff_skipped;
-    out[q++] = c->rename_attempted;
-    out[q++] = c->fresh_cycle;
-    out[q++] = c->replay_cycle;
     out[q++] = c->s_cycles;
     out[q++] = c->s_committed;
     out[q++] = c->s_renamed;
@@ -2611,7 +2479,6 @@ void cloop_free(void *cp) {
     }
     free(c->t);
     free(c->cpt);
-    vec_destroy(&c->creplays);
     free(c);
 }
 """
@@ -2699,7 +2566,7 @@ class _CloopContext:
         self._lib = lib
         self._ffi = ffi
         self._n_threads = proc._n_threads
-        self._need = 90 + (17 + _POLICY_STATE) * proc._n_threads
+        self._need = 85 + (17 + _POLICY_STATE) * proc._n_threads
         self._kind = _C_POLICY_KINDS[type(proc.policy)]
         self._out = ffi.new("long long[]", self._need)
         #: (fq_len, inflight_len, rob_len) per thread from the last
@@ -2859,13 +2726,12 @@ class _CloopContext:
 
     # -- region execution ---------------------------------------------- #
 
-    def run(self, limit, stop_code, commit_target, use_ff, single) -> int:
+    def run(self, limit, stop_code, commit_target, single) -> int:
         return self._lib.cloop_run(
             self.c,
             int(limit),
             int(stop_code),
             -1 if commit_target is None else int(commit_target),
-            1 if use_ff else 0,
             1 if single else 0,
         )
 
@@ -2904,16 +2770,8 @@ class _CloopContext:
             proc._last_commit_cycle,
             proc._epoch,
             proc.finished_count,
-            rr,
-            proc.ff_jumps,
-            proc.ff_skipped_cycles,
-            attempted,
-            proc._fresh_cycle,
-            proc._replay_cycle,
-        ) = take(12)
-        proc.policy._rr = rr
-        proc._rename_attempted = bool(attempted)
-        proc._sum_cycle = -1  # any cached idle-sum predates the region
+            proc.policy._rr,
+        ) = take(7)
 
         s = proc.stats
         (
@@ -3122,22 +2980,15 @@ class CloopProcessor(VectorizedProcessor):
         self._cl.prewarm(self._prewarm_lines())
         self.mem.reset_stats()
 
-    def run_loop(self, limit, stop="first_done", use_ff=True, commit_target=None):
+    def run_loop(self, limit, stop="first_done", commit_target=None):
         if not self._in_kernel():
-            return super().run_loop(
-                limit, stop=stop, use_ff=use_ff, commit_target=commit_target
-            )
-        self._region(limit, _STOP_CODES[stop], use_ff, commit_target, False)
+            return super().run_loop(limit, stop=stop, commit_target=commit_target)
+        self._region(limit, _STOP_CODES[stop], commit_target, False)
 
     def step(self) -> None:
         if not self._in_kernel():
             return super().step()
-        self._region(self.cycle + 1, _STOP_CODES["cycles"], False, None, True)
-
-    def step_fast(self, limit: int) -> None:
-        if not self._in_kernel():
-            return super().step_fast(limit)
-        self._region(limit, _STOP_CODES["cycles"], True, None, True)
+        self._region(self.cycle + 1, _STOP_CODES["cycles"], None, True)
 
     def reset_measurement(self) -> None:
         if self._cl is not None:
@@ -3146,7 +2997,7 @@ class CloopProcessor(VectorizedProcessor):
 
     # -- bounded-region API --------------------------------------------- #
 
-    def run_cycles(self, n: int, stop: str = "cycles", use_ff: bool = True) -> str:
+    def run_cycles(self, n: int, stop: str = "cycles") -> str:
         """Run a bounded region of at most ``n`` cycles.
 
         Returns the typed exit reason: :data:`REGION_DONE` when the
@@ -3161,16 +3012,8 @@ class CloopProcessor(VectorizedProcessor):
             raise ValueError(f"unknown stop mode {stop!r}")
         limit = self.cycle + n
         if self._in_kernel():
-            return self._region(limit, _STOP_CODES[stop], use_ff, None, False)
-        while self.cycle < limit:
-            if stop == "first_done" and self.finished_count > 0:
-                break
-            if stop == "all_done" and self.finished_count >= self._n_threads:
-                break
-            if use_ff:
-                self.step_fast(limit)
-            else:
-                self.step()
+            return self._region(limit, _STOP_CODES[stop], None, False)
+        super().run_loop(limit, stop=stop)
         done = (stop == "first_done" and self.finished_count > 0) or (
             stop == "all_done" and self.finished_count >= self._n_threads
         )
@@ -3180,9 +3023,9 @@ class CloopProcessor(VectorizedProcessor):
 
     # -- region driver --------------------------------------------------- #
 
-    def _region(self, limit, stop_code, use_ff, commit_target, single) -> str:
+    def _region(self, limit, stop_code, commit_target, single) -> str:
         cl = self._cl
-        rc = cl.run(limit, stop_code, commit_target, use_ff, single)
+        rc = cl.run(limit, stop_code, commit_target, single)
         cl.export(self)  # always: errors must leave observable state, too
         if rc == 2:
             self.region_exits["watchdog"] += 1

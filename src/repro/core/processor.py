@@ -90,6 +90,11 @@ class Processor:
     #: counters that engine writes back
     python_resident = True
 
+    #: cycles skipped without stepping: always 0, since every engine steps
+    #: each cycle; ``perfbench/layers.py`` still reads it after each
+    #: traced simulation
+    ff_skipped_cycles = 0
+
     def __init__(
         self,
         config: ProcessorConfig,
@@ -139,18 +144,6 @@ class Processor:
         #: place a thread can transition to finished (_commit_uop), making
         #: any_done/all_done O(1) in the run loop
         self.finished_count = sum(1 for t in self.threads if t.finished)
-        # --- event-horizon fast-forward state (see step_fast) ---
-        self._rename_attempted = False
-        self.ff_jumps = 0
-        self.ff_skipped_cycles = 0
-        # Tier B bookkeeping: which memoized rename stalls replayed this
-        # cycle, cycle-stamped so the hot path never has to clear them
-        self._cycle_replays: list[tuple[int, str]] = []
-        self._replay_cycle = -1
-        self._fresh_cycle = -1
-        # idle-sum cache for step_fast (cycle-stamped like the replays)
-        self._sum_cycle = -1
-        self._sum_val = 0
         # --- failed-rename memoization ---
         # A thread blocked at rename re-runs steering + the full admission
         # check every cycle on the same head uop.  Both are pure functions
@@ -240,149 +233,6 @@ class Processor:
                 + "; ".join(repr(t) for t in self.threads)
             )
 
-    def step_fast(self, limit: int) -> None:
-        """One :meth:`step`, then jump over a provably inert idle window.
-
-        The fast path fires only when the cycle just executed was *fully
-        idle*: no completion/fill event was due, the interconnect was empty,
-        rename selection did not even pick a thread, and no forward-progress
-        counter moved.  In that state the machine is frozen — nothing can
-        commit, issue, rename or fetch until some timer fires — so the
-        engine advances straight to the event horizon (:meth:`_jump`),
-        replaying the per-cycle policy bookkeeping arithmetically.  Any
-        component that cannot prove idleness keeps the engine stepping,
-        which is what makes the results bit-identical to :meth:`step`
-        (asserted for every registered policy by the fast-forward test
-        suite).  ``limit`` caps the jump (the caller's ``max_cycles``).
-        """
-        ev = self._events
-        fe = self._fill_events
-        nxt = self.cycle + 1
-        if nxt in ev or nxt in fe or not self.icn.quiescent():
-            self.step()
-            return
-        s = self.stats
-        tc = self.tc
-        # during a frozen window the sum is unchanged from the previous
-        # call's ``after`` — reuse it (cycle-stamped, so any stepping or
-        # stats reset in between invalidates the cache by construction)
-        if self.cycle == self._sum_cycle:
-            before = self._sum_val
-        else:
-            before = (
-                s.committed
-                + s.issued
-                + s.renamed
-                + s.fetched
-                + s.copies_arrived
-                + s.squashed_uops
-                + s.imbalance_cycles
-                + tc.hits
-                + tc.misses
-            )
-        self.step()
-        after = (
-            s.committed
-            + s.issued
-            + s.renamed
-            + s.fetched
-            + s.copies_arrived
-            + s.squashed_uops
-            + s.imbalance_cycles
-            + tc.hits
-            + tc.misses
-        )
-        if after != before:
-            return
-        self._sum_cycle = self.cycle
-        self._sum_val = after
-        if self._rename_attempted:
-            # Tier B: rename selection ran, but every attempt was a memoized
-            # replay of an already-proven failure (same head uop, same
-            # admission epoch).  The machine is still frozen — the identical
-            # stall bookkeeping repeats every cycle until a timer fires — so
-            # the jump replays this cycle's stall set once per skipped cycle.
-            if self._fresh_cycle != self.cycle and self._replay_cycle == self.cycle:
-                self._jump(limit, self._cycle_replays)
-            return
-        self._jump(limit)
-
-    def _jump(self, limit: int, replays: "list[tuple[int, str]] | None" = None) -> None:
-        """Advance to just before the next event; bit-identical replay.
-
-        The horizon is the earliest future cycle at which anything can
-        change: FU/load completions, L2 fills, per-thread fetch/rename
-        unblock timers, the policy's next interval boundary, the telemetry
-        sample boundary, the deadlock watchdog, and the caller's cycle
-        limit.  Every skipped cycle is one where commit, writeback, issue,
-        rename and fetch all provably do nothing, telemetry's end-of-cycle
-        hook is a no-op, and the policy tick is replayed in closed form by
-        ``policy.ff_cycles`` — which may refuse, vetoing the jump.
-
-        ``replays`` (Tier B) is the list of ``(tid, primary cause)`` rename
-        stalls memo-replayed this cycle; each skipped cycle repeats exactly
-        that stall set, so its bookkeeping is applied ``skipped`` more
-        times arithmetically.
-        """
-        cycle = self.cycle
-        horizon = limit
-        ev = self._events
-        if ev:
-            nxt = min(ev)
-            if nxt < horizon:
-                horizon = nxt
-        fe = self._fill_events
-        if fe:
-            nxt = min(fe)
-            if nxt < horizon:
-                horizon = nxt
-        for t in self.threads:
-            blocked = t.fetch_blocked_until
-            if cycle < blocked < horizon:
-                horizon = blocked
-            blocked = t.rename_blocked_until
-            if cycle < blocked < horizon:
-                horizon = blocked
-        policy_horizon = self.policy.ff_horizon(cycle)
-        if policy_horizon is not None and policy_horizon < horizon:
-            horizon = policy_horizon
-        tel = self.tel
-        if tel is not None and tel.ff_horizon() < horizon:
-            horizon = tel.ff_horizon()
-        watchdog = self._last_commit_cycle + _WATCHDOG_CYCLES + 1
-        if watchdog < horizon:
-            horizon = watchdog
-        target = horizon - 1  # the horizon cycle itself is stepped for real
-        if target <= cycle:
-            return
-        if not self.policy.ff_cycles(cycle, target):
-            return
-        skipped = target - cycle
-        self.cycle = target
-        self.stats.cycles += skipped
-        # commit rotates its round-robin start once per cycle regardless of
-        # whether anything committed; replay the rotation arithmetically
-        self._commit_rr = (self._commit_rr + skipped) % self._n_threads
-        if replays:
-            stats = self.stats
-            tel = self.tel
-            for tid, primary in replays:
-                stats.rename_stall_cycles[primary] += skipped
-                if primary == "iq":
-                    stats.iq_stalls += skipped
-                    stats.iq_block_stalls += skipped
-                elif primary == "rf_int" or primary == "rf_fp":
-                    k = 0 if primary == "rf_int" else 1
-                    stats.reg_stall_events[k] += skipped
-                    # per-cycle starvation hooks: the policy veto already ran
-                    # (CDPRF refuses to jump while any thread is starved, so
-                    # on_reg_stall is a no-op here) and the telemetry episode
-                    # only needs its last-stalled cycle advanced to ``target``
-                    if tel is not None:
-                        tel.note_reg_stall(target, tid, k)
-        self.ff_jumps += 1
-        self.ff_skipped_cycles += skipped
-
     def release(self) -> None:
         """End of run: free resources the engine holds outside Python
         objects.  The Python engines hold none; see ``CloopProcessor``."""
@@ -404,7 +254,6 @@ class Processor:
         self,
         limit: int,
         stop: str = "first_done",
-        use_ff: bool = True,
         commit_target: int | None = None,
     ) -> None:
         """Drive the machine to a stop condition (the backend seam).
@@ -420,31 +269,19 @@ class Processor:
         if commit_target is not None:
             s = self.stats
             while self.cycle < limit and s.committed < commit_target:
-                if use_ff:
-                    self.step_fast(limit)
-                else:
-                    self.step()
+                self.step()
                 if self.finished_count > 0:
                     break
         elif stop == "first_done":
             while self.cycle < limit and self.finished_count == 0:
-                if use_ff:
-                    self.step_fast(limit)
-                else:
-                    self.step()
+                self.step()
         elif stop == "all_done":
             n = self._n_threads
             while self.cycle < limit and self.finished_count < n:
-                if use_ff:
-                    self.step_fast(limit)
-                else:
-                    self.step()
+                self.step()
         elif stop == "cycles":
             while self.cycle < limit:
-                if use_ff:
-                    self.step_fast(limit)
-                else:
-                    self.step()
+                self.step()
         else:
             raise ValueError(f"unknown stop mode {stop!r}")
 
@@ -634,15 +471,9 @@ class Processor:
     # ------------------------------------------------------------------ #
 
     def _rename(self) -> None:
-        # `_rename_attempted` feeds the fast-forward idle test: a cycle in
-        # which selection returns None straight away (threads gated, flushed
-        # or with drained fetch queues) is a candidate for jumping, while a
-        # blocked-but-selectable thread keeps the engine stepping.
         thread = self.policy.rename_select(self.cycle, _EMPTY_EXCLUDE)
         if thread is None:
-            self._rename_attempted = False
             return
-        self._rename_attempted = True
         if self._rename_thread(thread) > 0:
             return
         excluded = {thread.tid}  # structurally blocked; give the slot away
@@ -676,7 +507,6 @@ class Processor:
                 # blocking cause instead of re-running steering + admission
                 self._replay_rename_stall(tid, memo[2])
                 return False
-        self._fresh_cycle = self.cycle  # non-memoized attempt: no Tier B jump
         if not thread.rob.can_alloc():
             stats.rename_stall_cycles["rob"] += 1
             if self._memo_on:
@@ -747,11 +577,6 @@ class Processor:
         fire every cycle — CDPRF's Starvation counter counts consecutive
         blocked cycles).
         """
-        cycle = self.cycle
-        if self._replay_cycle != cycle:
-            self._replay_cycle = cycle
-            self._cycle_replays.clear()
-        self._cycle_replays.append((tid, primary))
         stats = self.stats
         stats.rename_stall_cycles[primary] += 1
         if primary == "iq":
@@ -1249,7 +1074,6 @@ class Processor:
         counter the figures read restarts from zero.
         """
         self.stats = SimStats(self.config.num_threads)
-        self._sum_cycle = -1  # the cached idle-sum refers to the old stats
         self.mem.reset_stats()
         self.tc.reset_stats()
         self.predictor.reset_stats()

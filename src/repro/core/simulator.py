@@ -9,17 +9,16 @@ cycle, so per-thread IPCs are directly comparable against single-thread
 reference runs for the fairness metric).
 
 The engine behind the run is chosen by ``backend=`` /
-``REPRO_BACKEND`` (:mod:`repro.core.backends`); every backend serves
-this API bit-identically, including the whole-loop compiled engine
-(``cloop``), whose warmup and measurement phases each execute as
-bounded C regions with the observable counters exported at the phase
-boundaries this module drives (``reset_measurement``,
-``finalize_stats``).
+``REPRO_BACKEND`` (:mod:`repro.core.backends`); every backend steps
+every cycle and serves this API bit-identically, including the
+whole-loop compiled engine (``cloop``), whose warmup and measurement
+phases each execute as bounded C regions with the observable counters
+exported at the phase boundaries this module drives
+(``reset_measurement``, ``finalize_stats``).
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
@@ -37,22 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.telemetry.telemetry import Telemetry
 
 _STOP_MODES = ("first_done", "all_done", "cycles")
-
-
-def fast_forward_default() -> bool:
-    """Fast-forward unless the ``REPRO_FF`` environment says otherwise.
-
-    ``REPRO_FF=0`` (or ``false``/``off``/``no``) is the escape hatch that
-    forces pure cycle stepping everywhere — results are bit-identical
-    either way, so this exists for benchmarking and debugging the engine
-    itself, not for correctness.
-    """
-    return os.environ.get("REPRO_FF", "").strip().lower() not in (
-        "0",
-        "false",
-        "off",
-        "no",
-    )
 
 
 @dataclass(frozen=True)
@@ -84,7 +67,6 @@ def run_simulation(
     warmup_uops: int = 0,
     prewarm_caches: bool = False,
     telemetry: "Telemetry | None" = None,
-    fast_forward: bool | None = None,
     backend: str | None = None,
 ) -> SimResult:
     """Simulate ``traces`` under ``policy`` until the stop condition.
@@ -96,15 +78,12 @@ def run_simulation(
     skew short runs (the paper's traces are long enough not to need this).
     ``telemetry`` attaches a :class:`~repro.telemetry.Telemetry` hook that
     collects interval samples and trace events during the measured region;
-    results are unchanged whether or not it is present.  ``fast_forward``
-    selects the event-horizon engine (:meth:`Processor.step_fast`);
-    ``None`` defers to :func:`fast_forward_default` (on unless
-    ``REPRO_FF=0``).  Results are bit-identical either way.
-    ``backend`` selects the cycle engine (``"reference"``,
-    ``"vectorized"`` or ``"cloop"``); ``None`` defers to the ``REPRO_BACKEND``
-    environment variable, then the default.  Backends are bit-identical
-    by contract, so the result — including its stats dict and any
-    telemetry exports — does not depend on the choice.
+    results are unchanged whether or not it is present.  ``backend``
+    selects the cycle engine (``"reference"``, ``"vectorized"`` or
+    ``"cloop"``); ``None`` defers to the ``REPRO_BACKEND`` environment
+    variable, then the default.  Backends are bit-identical by contract,
+    so the result — including its stats dict and any telemetry exports —
+    does not depend on the choice.
 
     The stop condition is checked every cycle against the processor's O(1)
     finished-thread count, so ``first_done``/``all_done`` runs stop at the
@@ -116,7 +95,6 @@ def run_simulation(
         raise ValueError(f"stop must be one of {_STOP_MODES}, got {stop!r}")
     if isinstance(policy, str):
         policy = make_policy(policy)
-    use_ff = fast_forward_default() if fast_forward is None else bool(fast_forward)
     proc_cls = processor_class(resolve_backend(backend))
     proc = proc_cls(config, policy, traces, steering=steering, telemetry=telemetry)
     if prewarm_caches:
@@ -125,9 +103,9 @@ def run_simulation(
     try:
         t0 = time.perf_counter()
         if warmup_uops > 0:
-            proc.run_loop(max_cycles, use_ff=use_ff, commit_target=warmup_uops)
+            proc.run_loop(max_cycles, commit_target=warmup_uops)
             proc.reset_measurement()
-        proc.run_loop(max_cycles, stop=stop, use_ff=use_ff)
+        proc.run_loop(max_cycles, stop=stop)
         wall = time.perf_counter() - t0
         stats: SimStats = proc.finalize_stats()
     finally:

@@ -3,12 +3,12 @@
 Semantically this module defines *nothing*: the machine is specified by
 the reference interpreter in :mod:`repro.core.processor`, and this
 engine must produce bit-identical statistics and telemetry for every
-policy, with fast-forward on or off (enforced by
-``tests/core/test_backend_identity.py``).  What it changes is how the
+policy (enforced by ``tests/core/test_backend_identity.py``).  Like the
+reference, it steps every cycle.  What it changes is how the
 interpreter's inner loop is executed:
 
 * **one monolithic run loop** (:meth:`VectorizedProcessor.run_loop`)
-  replaces the per-cycle ``step_fast``/``step``/stage-method call tree.
+  replaces the per-cycle ``step``/stage-method call tree.
   Every hot object (stats slots, issue-queue heaps, register-file free
   lists and ready bytearrays, rename-table columns, the event wheel) is
   bound to a local exactly once per run, so the per-cycle cost is list
@@ -24,8 +24,7 @@ interpreter's inner loop is executed:
   — same visitation order, same counter updates, same epoch bumps — so
   identity holds by construction.  Rare paths (mispredict resolution,
   squash walks, policy flushes, copy generation, unbounded register
-  growth, fast-forward jumps) call straight back into the reference
-  implementation.
+  growth) call straight back into the reference implementation.
 
 The engine specializes the model invariant the reference constructor
 already enforces — exactly two clusters — while staying generic over
@@ -394,7 +393,6 @@ class VectorizedProcessor(Processor):
         self,
         limit: int,
         stop: str = "first_done",
-        use_ff: bool = True,
         commit_target: int | None = None,
     ) -> None:
         # ---- per-run local bindings (the whole point of this engine) ----
@@ -461,7 +459,6 @@ class VectorizedProcessor(Processor):
         forced = self._forced_cluster
         memo_on = self._memo_on
         memo_list = self._rename_memo
-        creplays = self._cycle_replays
         dispatch_trivial = self._dispatch_trivial
         alloc_trivial = self._alloc_trivial
         rename_width = self._rename_width
@@ -498,28 +495,8 @@ class VectorizedProcessor(Processor):
                 if self.finished_count >= n_threads:
                     break
 
-            # ---- fast-forward candidacy (the step_fast pre-check): the
-            #      cycle about to run can only be jumped from if no event
-            #      or fill is due and the interconnect is empty ----
-            nxt = cycle + 1
-            if (
-                use_ff
-                and nxt not in events
-                and nxt not in fills
-                and not icn_pending
-                and not icn._in_flight
-            ):
-                candidate = True
-                squash_before = s.squashed_uops
-            else:
-                candidate = False
-            #: did any idle-sum counter move this cycle?  (committed,
-            #: issued, renamed, fetched, copies_arrived, imbalance_cycles,
-            #: tc hits+misses; squashes are caught by the compare above)
-            active = False
-
-            cycle = nxt
-            self.cycle = nxt
+            cycle += 1
+            self.cycle = cycle
             if on_cycle_h is not None:
                 on_cycle_h(cycle)
 
@@ -610,7 +587,6 @@ class VectorizedProcessor(Processor):
                 self._epoch += committed
                 self._last_commit_cycle = cycle
                 s.committed += committed
-                active = True
 
             # ================= writeback =================
             wb = ev_pop(cycle, None)
@@ -678,7 +654,6 @@ class VectorizedProcessor(Processor):
                                         (waiter.age, waiter),
                                     )
                         s.copies_arrived += 1
-                    active = True
 
             # ================= issue =================
             c0b0 = c0b1 = c0b2 = c1b0 = c1b1 = c1b2 = False
@@ -787,7 +762,6 @@ class VectorizedProcessor(Processor):
                             self._epoch += n_issued  # IQ occupancy drops
                             s.issued += n_issued
                             s.issue_cycles += 1
-                            active = True
                     else:
                         # --- two-phase _start_execution (hooks may flush) ---
                         any_issued = False
@@ -845,7 +819,6 @@ class VectorizedProcessor(Processor):
                             any_issued = True
                         if any_issued:
                             s.issue_cycles += 1
-                            active = True
                 if ci == 0:
                     passed0 = passed
                     c0b0, c0b1, c0b2 = b0, b1, b2
@@ -893,7 +866,6 @@ class VectorizedProcessor(Processor):
                     probed = True
             if probed:
                 s.imbalance_cycles += 1
-                active = True
 
             # ================= rename =================
             # one inline copy of the per-thread rename body serves both the
@@ -901,7 +873,6 @@ class VectorizedProcessor(Processor):
             # _rename → _rename_thread → _rename_one → _dispatch_uop)
             excluded = None
             sel_left = n_threads
-            first_attempt = True
             while True:
                 # --- selection (inlined IcountPolicy.rename_select) ---
                 if icount_sel:
@@ -929,9 +900,6 @@ class VectorizedProcessor(Processor):
                     thread = policy.rename_select(
                         cycle, _EMPTY_EXCLUDE if excluded is None else excluded
                     )
-                if first_attempt:
-                    first_attempt = False
-                    self._rename_attempted = thread is not None
                 if thread is None:
                     break
                 # --- rename up to rename_width uops from `thread` ---
@@ -953,10 +921,6 @@ class VectorizedProcessor(Processor):
                         if m[0] is uop and m[1] == epoch:
                             # --- inlined _replay_rename_stall ---
                             primary = m[2]
-                            if self._replay_cycle != cycle:
-                                self._replay_cycle = cycle
-                                creplays.clear()
-                            creplays.append((tid, primary))
                             rsc[primary] += 1
                             if primary == "iq":
                                 s.iq_stalls += 1
@@ -969,8 +933,6 @@ class VectorizedProcessor(Processor):
                                 if tel is not None:
                                     tel.note_reg_stall(cycle, tid, k)
                             break
-                    # non-memoized attempt: no Tier B jump this cycle
-                    self._fresh_cycle = cycle
                     if not (rob.unbounded or len(rob_entries) < rob.capacity):
                         rsc["rob"] += 1
                         if memo_on:
@@ -1237,7 +1199,6 @@ class VectorizedProcessor(Processor):
                     fq.popleft()
                     renamed_n += 1
                 if renamed_n:
-                    active = True
                     break
                 # structurally blocked; give the slot away
                 sel_left -= 1
@@ -1266,7 +1227,6 @@ class VectorizedProcessor(Processor):
                 else:
                     first_pc = fetch_cols[t.tid][4][t.cursor]
                 stall = tc_lookup(first_pc)
-                active = True  # the TC lookup moved hits/misses
                 if stall > 0:
                     t.fetch_blocked_until = cycle + stall
                 else:
@@ -1372,20 +1332,6 @@ class VectorizedProcessor(Processor):
                     f"no commit for {_WATCHDOG_CYCLES} cycles at cycle {cycle}: "
                     + "; ".join(repr(t) for t in threads)
                 )
-
-            # ---- fast-forward jump (step_fast post-check) ----
-            if candidate and not active and s.squashed_uops == squash_before:
-                if self._rename_attempted:
-                    # Tier B: every rename attempt was a memoized replay
-                    if (
-                        self._fresh_cycle != cycle
-                        and self._replay_cycle == cycle
-                    ):
-                        self._jump(limit, self._cycle_replays)
-                        cycle = self.cycle
-                else:
-                    self._jump(limit)
-                    cycle = self.cycle
 
             if warmup and self.finished_count > 0:
                 break

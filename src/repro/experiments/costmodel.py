@@ -2,9 +2,8 @@
 
 A sweep is a bag of independent simulations with wildly different costs:
 a MEM-bound pair under CDPRF runs several times longer than an ILP pair
-under Icount, and fast-forward eligibility cuts stall-heavy runs further.
-FIFO dispatch therefore routinely strands one long item at the tail of a
-sweep while every other worker idles.  The scheduler in
+under Icount.  FIFO dispatch therefore routinely strands one long item
+at the tail of a sweep while every other worker idles.  The scheduler in
 :mod:`repro.experiments.parallel` instead dispatches
 **longest-expected-first** (the classic LPT heuristic), which needs a cost
 estimate per item — that estimate lives here.
@@ -13,20 +12,17 @@ The model is deliberately simple and self-correcting:
 
 * the estimated runtime of an item is ``rate × total trace uops``, where
   ``rate`` (seconds per uop) is looked up in a bucket keyed by
-  ``(policy, workload kind, cycle engine, fast-forward on/off)``;
+  ``(policy, workload kind, cycle engine)``;
 * buckets start from static priors (MEM > MIX > ILP, adaptive policies
-  above static ones, the vectorized engine discounted against the
-  reference, fast-forward discounting stall-heavy runs) and are
-  **calibrated** with an exponential moving average of observed per-item
-  timings reported back by the pool;
-* calibration recorded before buckets were backend-keyed (three-segment
-  keys) is migrated on load to the ``reference`` engine, which is what
-  produced it;
+  above static ones, the faster engines discounted against the
+  reference) and are **calibrated** with an exponential moving average
+  of observed per-item timings reported back by the pool;
 * calibration persists across processes in
   ``~/.cache/repro/cost_model.json`` (override with ``REPRO_COST_MODEL``,
   disable persistence with ``REPRO_COST_MODEL=0``), written atomically and
-  tolerated when corrupt — LPT only needs the *relative* order of items,
-  so a cold or stale model degrades throughput, never correctness.
+  tolerated when corrupt or of another :data:`VERSION` — LPT only needs
+  the *relative* order of items, so a cold or stale model degrades
+  throughput, never correctness.
 """
 
 from __future__ import annotations
@@ -42,6 +38,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _ENV_VAR = "REPRO_COST_MODEL"
 _DISABLED = ("0", "off", "false", "no")
+
+#: File format of the persisted calibration; a file of any other version
+#: loads cold and is overwritten on the next save.
+VERSION = 2
 
 #: Conservative prior: seconds of simulation per trace uop on one core.
 #: Only relative magnitudes matter for LPT ordering.
@@ -59,10 +59,6 @@ POLICY_FACTOR = {
     "stall": 1.15,
     "flush+": 1.25,
 }
-
-#: Fast-forward discount for the kinds it helps (idle-window jumping pays
-#: off on memory-stalled runs, barely at all on ILP runs).
-FF_FACTOR = {"mem": 0.75, "mix": 0.85, "st": 0.95, "ilp": 1.0}
 
 #: Cycle-engine multipliers: the flattened SoA engine runs the same
 #: simulation in roughly half the time of the reference interpreter (the
@@ -88,17 +84,6 @@ _UNKNOWN_BACKEND_FACTOR = BACKEND_FACTOR["vectorized"]
 ALPHA = 0.4
 
 
-def ff_default() -> bool:
-    """The fast-forward setting a ``fast_forward=None`` item resolves to
-    (mirrors :func:`repro.core.simulator`'s ``REPRO_FF`` handling)."""
-    return os.environ.get("REPRO_FF", "").strip().lower() not in (
-        "0",
-        "false",
-        "off",
-        "no",
-    )
-
-
 def default_path() -> Path | None:
     """Where calibration persists, or ``None`` when disabled."""
     env = os.environ.get(_ENV_VAR)
@@ -109,8 +94,8 @@ def default_path() -> Path | None:
     return Path.home() / ".cache" / "repro" / "cost_model.json"
 
 
-def item_features(item: "WorkItem") -> tuple[str, str, bool, str, int]:
-    """``(policy, kind, fast_forward, backend, total_uops)`` of one item."""
+def item_features(item: "WorkItem") -> tuple[str, str, str, int]:
+    """``(policy, kind, backend, total_uops)`` of one item."""
     from repro.core.backends import resolve_backend
 
     if item.single is not None:
@@ -120,22 +105,8 @@ def item_features(item: "WorkItem") -> tuple[str, str, bool, str, int]:
         assert item.workload is not None
         kind = item.workload.wtype
         uops = sum(t.n_uops for t in item.workload.traces)
-    ff = ff_default() if item.fast_forward is None else bool(item.fast_forward)
     backend = item.backend if item.backend is not None else resolve_backend()
-    return item.policy, kind, ff, backend, uops
-
-
-def _migrate_key(key: str) -> str:
-    """Upgrade a pre-backend bucket key (``policy|kind|ff``) in place.
-
-    Those rates were measured on the reference interpreter (the only
-    engine that existed when they were recorded), so they land in its
-    buckets; vectorized buckets start from priors and calibrate fresh.
-    """
-    parts = key.split("|")
-    if len(parts) == 3:
-        return f"{parts[0]}|{parts[1]}|reference|{parts[2]}"
-    return key
+    return item.policy, kind, backend, uops
 
 
 class CostModel:
@@ -154,10 +125,11 @@ class CostModel:
     def _load(self, path: Path) -> None:
         try:
             data = json.loads(path.read_text())
-            rates = data["rates"]
+            if data["version"] != VERSION:
+                return  # another format: start cold, overwrite on next save
             self._rates = {
-                _migrate_key(str(k)): [float(v["rate"]), int(v["n"])]
-                for k, v in rates.items()
+                str(k): [float(v["rate"]), int(v["n"])]
+                for k, v in data["rates"].items()
                 if float(v["rate"]) > 0
             }
         except FileNotFoundError:
@@ -172,7 +144,7 @@ class CostModel:
             return False
         payload = json.dumps(
             {
-                "version": 1,
+                "version": VERSION,
                 "rates": {
                     k: {"rate": r, "n": n} for k, (r, n) in sorted(self._rates.items())
                 },
@@ -200,33 +172,30 @@ class CostModel:
     # -- estimation ---------------------------------------------------------
 
     @staticmethod
-    def _bucket(policy: str, kind: str, ff: bool, backend: str) -> str:
-        return f"{policy}|{kind}|{backend}|{'ff' if ff else 'step'}"
+    def _bucket(policy: str, kind: str, backend: str) -> str:
+        return f"{policy}|{kind}|{backend}"
 
     @staticmethod
-    def _prior(policy: str, kind: str, ff: bool, backend: str) -> float:
-        rate = (
+    def _prior(policy: str, kind: str, backend: str) -> float:
+        return (
             BASE_RATE
             * KIND_FACTOR.get(kind, 1.2)
             * POLICY_FACTOR.get(policy, 1.0)
             * BACKEND_FACTOR.get(backend, _UNKNOWN_BACKEND_FACTOR)
         )
-        if ff:
-            rate *= FF_FACTOR.get(kind, 1.0)
-        return rate
 
-    def rate(self, policy: str, kind: str, ff: bool, backend: str | None = None) -> float:
+    def rate(self, policy: str, kind: str, backend: str | None = None) -> float:
         if backend is None:
             from repro.core.backends import resolve_backend
 
             backend = resolve_backend()
-        got = self._rates.get(self._bucket(policy, kind, ff, backend))
-        return got[0] if got else self._prior(policy, kind, ff, backend)
+        got = self._rates.get(self._bucket(policy, kind, backend))
+        return got[0] if got else self._prior(policy, kind, backend)
 
     def estimate(self, item: "WorkItem") -> float:
         """Expected wall-clock seconds for ``item``."""
-        policy, kind, ff, backend, uops = item_features(item)
-        return self.rate(policy, kind, ff, backend) * uops
+        policy, kind, backend, uops = item_features(item)
+        return self.rate(policy, kind, backend) * uops
 
     def lpt_order(
         self, items: list["WorkItem"]
@@ -246,11 +215,11 @@ class CostModel:
 
     def observe(self, item: "WorkItem", seconds: float) -> None:
         """Fold one completed item's measured runtime into its bucket."""
-        policy, kind, ff, backend, uops = item_features(item)
+        policy, kind, backend, uops = item_features(item)
         if uops <= 0 or seconds <= 0:
             return
         observed = seconds / uops
-        bucket = self._bucket(policy, kind, ff, backend)
+        bucket = self._bucket(policy, kind, backend)
         got = self._rates.get(bucket)
         if got is None:
             self._rates[bucket] = [observed, 1]

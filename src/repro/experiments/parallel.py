@@ -190,9 +190,6 @@ class WorkItem:
     single: TraceSpec | None = None
     telemetry: TelemetryConfig | None = None
     telemetry_dir: str | None = None
-    #: tri-state like ExperimentRunner.fast_forward: None defers to the
-    #: worker's REPRO_FF environment (results are identical either way)
-    fast_forward: bool | None = None
     #: cycle engine the worker must use; the parent fills in its resolved
     #: backend name so a sweep never mixes engines because of divergent
     #: worker environments.  None (old items, hand-built tests) lets the
@@ -244,7 +241,6 @@ def run_item(
     # items from different sweeps, so both fields are assigned every time)
     runner.telemetry_dir = Path(item.telemetry_dir) if item.telemetry_dir else None
     runner.telemetry_config = item.telemetry
-    runner.fast_forward = item.fast_forward
     if item.backend is not None:
         runner.backend = item.backend
     if item.single is not None:
@@ -365,7 +361,10 @@ class _Progress:
 
 
 def is_complete(runner: "ExperimentRunner", item: WorkItem) -> bool:
-    """Whether ``item`` needs no execution (cache hit, exports present)."""
+    """Whether ``item`` needs no execution (cache hit, exports present).
+
+    A probe: it counts nothing on ``runner``; the caller that serves the
+    cached record instead of a simulation counts the hit."""
     from repro.telemetry import exports_complete
 
     if runner._cache_get(item.key) is None:
@@ -439,10 +438,12 @@ def run_items(
 ) -> int:
     """Run the cache-missing ``items`` on ``executor``; merge results back.
 
-    Returns the number of simulations actually executed.  ``executor=None``
-    is the persistent local pool with ``jobs`` workers, spawned only once
-    there is work; with ``jobs <= 1`` it is a no-op — the caller's serial
-    loop does the work — so the serial path never pays pool overhead.
+    Returns the number of simulations actually executed; each executed
+    item counts in ``runner.sims_run`` and each already complete one in
+    ``runner.cache_hits``.  ``executor=None`` is the persistent local
+    pool with ``jobs`` workers, spawned only once there is work; with
+    ``jobs <= 1`` it is a no-op — the caller's serial loop does the
+    work — so the serial path never pays pool overhead.
 
     Dispatch is longest-expected-first.  On the local pool at most
     ``jobs + 1`` items are in flight, however large the persistent pool
@@ -471,6 +472,7 @@ def run_items(
             hits += 1
         else:
             todo.append(item)
+    runner.cache_hits += hits
     if not todo:
         return 0
 
@@ -613,7 +615,6 @@ def sweep_items(
                     workload=spec,
                     telemetry=tel_cfg,
                     telemetry_dir=tel_dir,
-                    fast_forward=runner.fast_forward,
                     backend=runner.backend,
                 )
             )
@@ -643,7 +644,6 @@ def single_items(
                 single=TraceSpec.of(tr),
                 telemetry=tel_cfg,
                 telemetry_dir=tel_dir,
-                fast_forward=runner.fast_forward,
                 backend=runner.backend,
             )
         )

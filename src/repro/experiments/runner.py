@@ -154,7 +154,6 @@ class ExperimentRunner:
         jobs: int | None = None,
         telemetry_dir: str | Path | None = None,
         telemetry: TelemetryConfig | None = None,
-        fast_forward: bool | None = None,
         resume: bool = False,
         backend: str | None = None,
         progress_cb: Callable[[dict[str, Any]], None] | None = None,
@@ -189,11 +188,6 @@ class ExperimentRunner:
         from repro.experiments.parallel import resolve_jobs
 
         self.jobs = resolve_jobs(jobs, default=1)
-        # Fast-forward selection for every simulation this runner launches
-        # (None defers to the REPRO_FF environment).  Results are
-        # bit-identical either way; the flag exists so ``--no-fast-forward``
-        # runs can validate the engine against pure stepping.
-        self.fast_forward = fast_forward
         # Cycle-engine selection for every simulation this runner launches.
         # Resolved eagerly (argument > REPRO_BACKEND > default) so an
         # invalid name fails here, at construction, and so worker processes
@@ -202,6 +196,8 @@ class ExperimentRunner:
         # contract, so RunKey (and the disk cache) deliberately does not
         # include the backend; the sweep log records which one ran.
         self.backend = resolve_backend(backend)
+        #: simulations run, and cached records served in place of one
+        #: (neither moves with ``jobs=`` or the executor)
         self.sims_run = 0
         self.cache_hits = 0
         # Checkpoint journal: every completed key is recorded next to the
@@ -343,8 +339,8 @@ class ExperimentRunner:
         )
 
     def _cache_get(self, key: RunKey) -> RunRecord | None:
+        """The cached record of ``key``, or None (a probe: counts nothing)."""
         if key in self._memory:
-            self.cache_hits += 1
             return self._memory[key]
         if self.cache_dir:
             path = self.cache_dir / key.filename()
@@ -367,7 +363,6 @@ class ExperimentRunner:
                     pass
                 return None
             self._memory[key] = rec
-            self.cache_hits += 1
             return rec
         return None
 
@@ -425,6 +420,60 @@ class ExperimentRunner:
         if self.journal is not None:
             self.journal.mark(key)
 
+    def _run_cached(
+        self,
+        key: RunKey,
+        config: ProcessorConfig,
+        policy: str,
+        traces: list[Trace],
+        warmup_uops: int,
+        count_hit: bool = True,
+    ) -> RunRecord:
+        """Serve ``key`` from the cache or simulate it: the one cached-run
+        path behind :meth:`run`, :meth:`run_single` and the sweeps.
+
+        With telemetry enabled, a cached record is only honoured when its
+        telemetry export is also on disk (keys the resume journal vouches
+        for skip that scan); otherwise the simulation re-runs
+        (bit-identical, so the rewritten cache entry does not change).
+        A served record counts as a cache hit unless ``count_hit`` is
+        False: a sweep assembling what its prefetch just decided on has
+        already counted each key as run or hit.
+        """
+        tel, teldir = self._telemetry_for(key)
+        cached = self._cache_get(key)
+        if cached is not None and (
+            key in self.resume_completed
+            or teldir is None
+            or exports_complete(teldir)
+        ):
+            self._mark_complete(key)
+            if count_hit:
+                self.cache_hits += 1
+            self._notify_run(key, cached=True)
+            return cached
+        self._check_abort()
+        res = run_simulation(
+            config,
+            self._make_policy(policy),
+            traces,
+            max_cycles=self.scale.max_cycles,
+            stop=key.stop,
+            workload_name=key.workload,
+            warmup_uops=warmup_uops,
+            prewarm_caches=True,
+            telemetry=tel,
+            backend=self.backend,
+        )
+        rec = RunRecord.from_result(res)
+        if tel is not None and teldir is not None:
+            self._export_telemetry(tel, teldir, key)
+        self._cache_put(key, rec)
+        self._mark_complete(key)
+        self.sims_run += 1
+        self._notify_run(key, cached=False)
+        return rec
+
     def run(
         self,
         config: ProcessorConfig,
@@ -432,91 +481,35 @@ class ExperimentRunner:
         workload: Workload,
         stop: str = "first_done",
     ) -> RunRecord:
-        """Simulate (or fetch from cache) one 2-thread workload.
-
-        With telemetry enabled, a cached record is only honoured when its
-        telemetry export is also on disk (keys the resume journal vouches
-        for skip that scan); otherwise the simulation re-runs
-        (bit-identical, so the rewritten cache entry does not change).
-        """
+        """Simulate (or fetch from cache) one 2-thread workload."""
         key = self.key_for(config, policy, workload, stop=stop)
-        tel, teldir = self._telemetry_for(key)
-        cached = self._cache_get(key)
-        if cached is not None and (
-            key in self.resume_completed
-            or teldir is None
-            or exports_complete(teldir)
-        ):
-            self._mark_complete(key)
-            self._notify_run(key, cached=True)
-            return cached
-        self._check_abort()
-        res = run_simulation(
-            config,
-            self._make_policy(policy),
-            list(workload.traces),
-            max_cycles=self.scale.max_cycles,
-            stop=stop,
-            workload_name=key.workload,
-            warmup_uops=self.scale.warmup_uops,
-            prewarm_caches=True,
-            telemetry=tel,
-            fast_forward=self.fast_forward,
-            backend=self.backend,
+        return self._run_cached(
+            key, config, policy, list(workload.traces), self.scale.warmup_uops
         )
-        rec = RunRecord.from_result(res)
-        if tel is not None and teldir is not None:
-            self._export_telemetry(tel, teldir, key)
-        self._cache_put(key, rec)
-        self._mark_complete(key)
-        self.sims_run += 1
-        self._notify_run(key, cached=False)
-        return rec
 
     def run_single(self, config: ProcessorConfig, trace: Trace) -> RunRecord:
         """Single-thread reference run (fairness denominator), cached."""
         key = self.key_for_single(config, trace)
-        tel, teldir = self._telemetry_for(key)
-        cached = self._cache_get(key)
-        if cached is not None and (
-            key in self.resume_completed
-            or teldir is None
-            or exports_complete(teldir)
-        ):
-            self._mark_complete(key)
-            self._notify_run(key, cached=True)
-            return cached
-        self._check_abort()
-        res = run_simulation(
+        return self._run_cached(
+            key,
             config.with_threads(1),
             "icount",
             [trace],
-            max_cycles=self.scale.max_cycles,
-            stop="all_done",
-            workload_name=key.workload,
-            warmup_uops=self.scale.warmup_uops // 2,
-            prewarm_caches=True,
-            telemetry=tel,
-            fast_forward=self.fast_forward,
-            backend=self.backend,
+            self.scale.warmup_uops // 2,
         )
-        rec = RunRecord.from_result(res)
-        if tel is not None and teldir is not None:
-            self._export_telemetry(tel, teldir, key)
-        self._cache_put(key, rec)
-        self._mark_complete(key)
-        self.sims_run += 1
-        self._notify_run(key, cached=False)
-        return rec
 
     # -- sweeps ---------------------------------------------------------------
 
     def _effective_jobs(self, jobs: int | None) -> int:
         return self.jobs if jobs is None else max(1, int(jobs))
 
-    def _prefetch(self, items: list, jobs: int, label: str) -> None:
-        """Run the cache misses among ``items`` on this runner's executor:
-        the fabric hub for ``tcp``, else the local pool of ``jobs``."""
+    def _prefetch(self, items: list, jobs: int, label: str) -> set[RunKey]:
+        """Run the cache misses among ``items`` on this runner's executor
+        (the fabric hub for ``tcp``, else the local pool of ``jobs``).
+
+        Returns the keys of ``items``: the prefetch has counted each one
+        as run or as a cache hit, so the assembly pass must not count it
+        again."""
         from repro.experiments import parallel
 
         hub = None
@@ -525,6 +518,7 @@ class ExperimentRunner:
 
             hub = get_hub(self.fabric)
         parallel.run_items(self, items, hub, jobs=jobs, label=label)
+        return {item.key for item in items}
 
     def sweep(
         self,
@@ -546,16 +540,25 @@ class ExperimentRunner:
         policies = list(policies)
         wls = list(workloads) if workloads is not None else list(self.pool)
         n_jobs = self._effective_jobs(jobs)
+        prefetched: set[RunKey] = set()
         if n_jobs > 1 or self.executor != "local":
             from repro.experiments import parallel
 
-            self._prefetch(
+            prefetched = self._prefetch(
                 parallel.sweep_items(self, config, policies, wls), n_jobs, label
             )
         out: dict[tuple[str, str, str], RunRecord] = {}
         for policy in policies:
             for wl in wls:
-                out[(policy, wl.category, wl.name)] = self.run(config, policy, wl)
+                key = self.key_for(config, policy, wl)
+                out[(policy, wl.category, wl.name)] = self._run_cached(
+                    key,
+                    config,
+                    policy,
+                    list(wl.traces),
+                    self.scale.warmup_uops,
+                    count_hit=key not in prefetched,
+                )
         return out
 
     def run_singles(
@@ -573,13 +576,27 @@ class ExperimentRunner:
         """
         traces = list(traces)
         n_jobs = self._effective_jobs(jobs)
+        prefetched: set[RunKey] = set()
         if n_jobs > 1 or self.executor != "local":
             from repro.experiments import parallel
 
-            self._prefetch(
+            prefetched = self._prefetch(
                 parallel.single_items(self, config, traces), n_jobs, label
             )
-        return [self.run_single(config, tr) for tr in traces]
+        out = []
+        for tr in traces:
+            key = self.key_for_single(config, tr)
+            out.append(
+                self._run_cached(
+                    key,
+                    config.with_threads(1),
+                    "icount",
+                    [tr],
+                    self.scale.warmup_uops // 2,
+                    count_hit=key not in prefetched,
+                )
+            )
+        return out
 
 
 def figure2_config(iq_entries: int) -> ProcessorConfig:

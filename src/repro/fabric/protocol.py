@@ -214,7 +214,6 @@ def encode_item(item: WorkItem) -> dict[str, Any]:
             dataclasses.asdict(item.telemetry) if item.telemetry else None
         ),
         "telemetry_dir": item.telemetry_dir,
-        "fast_forward": item.fast_forward,
         "backend": item.backend,
     }
 
@@ -243,7 +242,6 @@ def decode_item(data: dict[str, Any]) -> WorkItem:
         single=single,
         telemetry=telemetry,
         telemetry_dir=data.get("telemetry_dir"),
-        fast_forward=data.get("fast_forward"),
         backend=data.get("backend"),
     )
 

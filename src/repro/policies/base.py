@@ -62,9 +62,7 @@ class ResourcePolicy:
 
         ``exclude`` holds threads that already failed a structural check
         this cycle (full ROB/MOB); the processor retries selection so a
-        blocked pick does not waste the whole rename slot.  Implementations
-        must not mutate policy state when returning None — the fast-forward
-        engine relies on an empty selection being repeatable.
+        blocked pick does not waste the whole rename slot.
         """
         assert self.proc is not None
         threads = self.proc.threads
@@ -136,29 +134,6 @@ class ResourcePolicy:
 
     def on_cycle(self, cycle: int) -> None:
         """Start-of-cycle tick."""
-
-    # -- fast-forward (event-horizon) hooks ---------------------------------
-
-    def ff_horizon(self, cycle: int) -> Optional[int]:
-        """First future cycle the policy must observe with a real step.
-
-        Interval-driven policies (CDPRF's re-partition, hill climbing's
-        epoch) return their next boundary so a fast-forward jump never
-        skips it; ``None`` means any idle window may be jumped whole.
-        """
-        return None
-
-    def ff_cycles(self, start: int, end: int) -> bool:
-        """Replay :meth:`on_cycle` for cycles ``(start, end]`` in closed form.
-
-        Called by the fast-forward engine for a window in which the machine
-        is provably frozen (nothing commits, issues, renames or fetches and
-        no policy event hook fires).  Returns True when the replay is exact
-        — the default is exact precisely when ``on_cycle`` is the base
-        no-op, so a subclass that overrides ``on_cycle`` without overriding
-        this hook automatically vetoes every jump (safe, just slow).
-        """
-        return type(self).on_cycle is ResourcePolicy.on_cycle
 
     # -- helpers ------------------------------------------------------------
 

@@ -92,31 +92,6 @@ class CDPRFPolicy(_RegMeteredCSSP):
         if cycle > 0 and cycle % self.interval == 0:
             self._end_interval(n)
 
-    def ff_horizon(self, cycle: int) -> int:
-        # never jump across an interval boundary: _end_interval must run in
-        # a real step (threshold update, RFOC reset, telemetry event)
-        return cycle - cycle % self.interval + self.interval
-
-    def ff_cycles(self, start: int, end: int) -> bool:
-        # In a frozen window no rename is attempted, so on_reg_stall cannot
-        # fire: every skipped on_cycle would see _starved_now False, reset
-        # Starvation to 0 and accumulate RFOC += usage with usage constant.
-        # A pending starvation flag from the detect step means a rename was
-        # attempted this cycle, which already vetoed the jump — checked
-        # anyway so the replay never silently drops a Starvation increment.
-        assert self.proc is not None
-        n = self.proc.config.num_threads
-        for t in range(n):
-            for k in range(2):
-                if self._starved_now[t][k]:
-                    return False
-        span = end - start
-        for t in range(n):
-            for k in range(2):
-                self.starvation[t][k] = 0
-                self.rfoc[t][k] += self.total_usage(t, k) * span
-        return True
-
     def _end_interval(self, num_threads: int) -> None:
         for t in range(num_threads):
             for k in range(2):

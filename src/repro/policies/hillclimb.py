@@ -63,14 +63,6 @@ class HillClimbPolicy(_RegMeteredCSSP):
         )
         self.proc.note_admission_change()  # bias moved: admission changed
 
-    def ff_horizon(self, cycle: int) -> int:
-        # the learning step reads the epoch's committed count and moves the
-        # bias; it must run in a real step at every epoch boundary
-        return cycle - cycle % self.epoch + self.epoch
-
-    def ff_cycles(self, start: int, end: int) -> bool:
-        return True  # between epoch boundaries on_cycle is a no-op
-
     def _iq_share_for(self, tid: int, capacity: int) -> int:
         half = capacity // 2
         share = half + (self.bias if tid == 0 else -self.bias)

@@ -35,16 +35,3 @@ class StallPolicy(IcountPolicy):
         for t in self.proc.threads:
             if t.gated:
                 self.proc.stats.stalled_thread_cycles += 1
-
-    def ff_cycles(self, start: int, end: int) -> bool:
-        # gates only move on L2 miss/fill events, which a fast-forward
-        # window by construction does not contain: the per-cycle account
-        # above collapses to gated-thread-count x window-length
-        assert self.proc is not None
-        gated = 0
-        for t in self.proc.threads:
-            if t.gated:
-                gated += 1
-        if gated:
-            self.proc.stats.stalled_thread_cycles += gated * (end - start)
-        return True

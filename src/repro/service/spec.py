@@ -15,8 +15,8 @@ cannot change the simulated work:
 * the machine knobs (``iq_entries``, ``regs``, ``unbounded_*``) enter via
   the resulting :meth:`ProcessorConfig.digest`, exactly the digest the
   result cache keys on — two spellings of the same machine share a key;
-* engine choices (backend, fast-forward, worker count) are absent: they
-  are bit-identical by contract and never part of cache identity.
+* engine choices (backend, worker count) are absent: they are
+  bit-identical by contract and never part of cache identity.
 
 The content key therefore names the same simulations the
 :class:`~repro.experiments.runner.RunKey` cache does, one level up.

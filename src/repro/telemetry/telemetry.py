@@ -101,18 +101,6 @@ class Telemetry:
 
     # -- per-cycle stage boundary ----------------------------------------
 
-    def ff_horizon(self) -> int:
-        """First future cycle :meth:`end_cycle` must observe for real.
-
-        The fast-forward engine caps every jump here, so interval samples
-        land on exactly the cycles they would when stepping (and the rows'
-        contents match: machine state is frozen across a jumped window).
-        Stale starvation episodes need no horizon — they are closed on the
-        step that detects the window, and a still-open episode implies a
-        rename attempt this cycle, which vetoes the jump.
-        """
-        return self._next_sample
-
     def end_cycle(self, proc: "Processor") -> None:
         """Called once per cycle by the processor (when telemetry is on)."""
         cycle = proc.cycle

@@ -5,11 +5,10 @@ flattened function over structure-of-arrays trace columns
 (:mod:`repro.core.vectorized`), ``cloop`` as the whole loop in one
 resident C kernel built on demand with cffi (:mod:`repro.core.cloop`),
 which runs on ``vectorized`` outside its envelope or without the
-toolchain.  Their shared contract is that *nothing observable
-changes*: every stats counter, every telemetry artifact byte, under
-every policy, with fast-forward on or off.  These tests are the gate on
-that contract — the same pattern the fast-forward identity suite pins
-for step-vs-jump, applied across the backend seam.
+toolchain.  Every engine steps every cycle, and their shared contract
+is that *nothing observable changes*: every stats counter, every
+telemetry artifact byte, under every policy.  These tests are the gate
+on that contract.
 
 Every test below parametrizes over the registered non-reference
 backends, so registering a new engine in :mod:`repro.core.backends`
@@ -40,7 +39,7 @@ def _policy(name):
     return make_policy(name, interval=1024) if name == "cdprf" else make_policy(name)
 
 
-def _run(config, policy_name, traces, backend, fast_forward, telemetry=None, **kw):
+def _run(config, policy_name, traces, backend, telemetry=None, **kw):
     kw.setdefault("max_cycles", 60_000)
     kw.setdefault("warmup_uops", 300)
     kw.setdefault("prewarm_caches", True)
@@ -49,18 +48,15 @@ def _run(config, policy_name, traces, backend, fast_forward, telemetry=None, **k
         _policy(policy_name),
         list(traces),
         telemetry=telemetry,
-        fast_forward=fast_forward,
         backend=backend,
         **kw,
     )
 
 
-def _ref(tag, config, policy_name, traces, fast_forward, **kw):
+def _ref(tag, config, policy_name, traces, **kw):
     got = _ref_memo.get(tag)
     if got is None:
-        got = _ref_memo[tag] = _run(
-            config, policy_name, traces, "reference", fast_forward, **kw
-        )
+        got = _ref_memo[tag] = _run(config, policy_name, traces, "reference", **kw)
     return got
 
 
@@ -72,20 +68,23 @@ def _assert_identical(ref, got):
     assert got.stats == ref.stats
 
 
+#: ids of the per-policy cases below, ``<policy>-step``: stable names
+#: that test selections and CI history refer to
+_STEP_IDS = [f"{p}-step" for p in POLICY_NAMES]
+
+
 @pytest.mark.parametrize("backend", ALT_BACKENDS)
-@pytest.mark.parametrize("ff", [False, True], ids=["step", "ff"])
-@pytest.mark.parametrize("policy", POLICY_NAMES)
-def test_bit_identical_stats(config, policy, ff, backend, ilp_trace, mem_trace):
-    """Every policy, ff on and off, every engine: identical full stats."""
+@pytest.mark.parametrize("policy", POLICY_NAMES, ids=_STEP_IDS)
+def test_bit_identical_stats(config, policy, backend, ilp_trace, mem_trace):
+    """Every policy, every engine: identical full stats."""
     traces = [ilp_trace, mem_trace]
-    ref = _ref(f"stats|{policy}|{ff}", config, policy, traces, ff)
-    got = _run(config, policy, traces, backend, ff)
+    ref = _ref(f"stats|{policy}", config, policy, traces)
+    got = _run(config, policy, traces, backend)
     _assert_identical(ref, got)
 
 
-@pytest.mark.parametrize("ff", [False, True], ids=["step", "ff"])
-@pytest.mark.parametrize("policy", POLICY_NAMES)
-def test_bit_identical_telemetry(config, policy, ff, mem_trace, ilp_trace_b, tmp_path):
+@pytest.mark.parametrize("policy", POLICY_NAMES, ids=_STEP_IDS)
+def test_bit_identical_telemetry(config, policy, mem_trace, ilp_trace_b, tmp_path):
     """Every policy, telemetry attached: identical stats AND byte-identical
     telemetry exports (interval samples, event traces)."""
     traces = [mem_trace, ilp_trace_b]
@@ -93,7 +92,7 @@ def test_bit_identical_telemetry(config, policy, ff, mem_trace, ilp_trace_b, tmp
     results = {}
     for backend in ("reference", "vectorized"):
         tel = Telemetry(TelemetryConfig(sample_interval=512))
-        results[backend] = _run(config, policy, traces, backend, ff, telemetry=tel)
+        results[backend] = _run(config, policy, traces, backend, telemetry=tel)
         out[backend] = tel.export(tmp_path / backend, meta={"run": "backend-identity"})
     _assert_identical(results["reference"], results["vectorized"])
     assert out["vectorized"].keys() == out["reference"].keys()
@@ -114,7 +113,7 @@ def test_telemetry_delegation_identical(config, backend, mem_trace, ilp_trace_b,
     results = {}
     for b in ("reference", backend):
         tel = Telemetry(TelemetryConfig(sample_interval=512))
-        results[b] = _run(config, "icount", traces, b, True, telemetry=tel)
+        results[b] = _run(config, "icount", traces, b, telemetry=tel)
         out[b] = tel.export(tmp_path / b, meta={"run": "backend-identity"})
     _assert_identical(results["reference"], results[backend])
     assert out[backend].keys() == out["reference"].keys()
@@ -131,8 +130,8 @@ def test_identical_with_indirect_and_mrom(config, policy, backend, feature_trace
     """Fetch slow paths (indirect predictor, MROM serialization) and the
     squash-heavy wrong-path machinery stay identical."""
     traces = [feature_trace, mem_trace]
-    ref = _ref(f"feat|{policy}", config, policy, traces, True)
-    got = _run(config, policy, traces, backend, True)
+    ref = _ref(f"feat|{policy}", config, policy, traces)
+    got = _run(config, policy, traces, backend)
     _assert_identical(ref, got)
 
 
@@ -143,16 +142,16 @@ def test_identical_across_stop_modes(config, stop, backend, ilp_trace, ilp_trace
     if stop == "cycles":
         kw["max_cycles"] = 5_000
     traces = [ilp_trace, ilp_trace_b]
-    ref = _ref(f"stop|{stop}", config, "stall", traces, True, **kw)
-    got = _run(config, "stall", traces, backend, True, **kw)
+    ref = _ref(f"stop|{stop}", config, "stall", traces, **kw)
+    got = _run(config, "stall", traces, backend, **kw)
     _assert_identical(ref, got)
 
 
 @pytest.mark.parametrize("backend", ALT_BACKENDS)
 def test_identical_single_thread(config, backend, mem_trace):
     cfg = config.with_threads(1)
-    ref = _ref("st", cfg, "icount", [mem_trace], True, stop="all_done")
-    got = _run(cfg, "icount", [mem_trace], backend, True, stop="all_done")
+    ref = _ref("st", cfg, "icount", [mem_trace], stop="all_done")
+    got = _run(cfg, "icount", [mem_trace], backend, stop="all_done")
     _assert_identical(ref, got)
 
 
@@ -162,8 +161,8 @@ def test_identical_no_warmup_no_prewarm(config, backend, ilp_trace, mem_trace):
     single-phase path."""
     kw = {"warmup_uops": 0, "prewarm_caches": False}
     traces = [ilp_trace, mem_trace]
-    ref = _ref("cold", config, "cssp", traces, True, **kw)
-    got = _run(config, "cssp", traces, backend, True, **kw)
+    ref = _ref("cold", config, "cssp", traces, **kw)
+    got = _run(config, "cssp", traces, backend, **kw)
     _assert_identical(ref, got)
 
 
@@ -172,8 +171,8 @@ def test_identical_unbounded_machine(unbounded_config, backend, ilp_trace, mem_t
     """Figure 2's unbounded-resource machine grows register files on the
     slow path; both backends must grow identically."""
     traces = [ilp_trace, mem_trace]
-    ref = _ref("unbounded", unbounded_config, "icount", traces, True)
-    got = _run(unbounded_config, "icount", traces, backend, True)
+    ref = _ref("unbounded", unbounded_config, "icount", traces)
+    got = _run(unbounded_config, "icount", traces, backend)
     _assert_identical(ref, got)
 
 
@@ -193,8 +192,8 @@ def test_identical_under_pool_growth(config, backend, monkeypatch, ilp_trace,
 
     monkeypatch.setattr(CloopProcessor, "_pool_capacity", tiny_pool)
     traces = [ilp_trace, mem_trace]
-    ref = _ref("stats|icount|True", config, "icount", traces, True)
-    got = _run(config, "icount", traces, backend, True)
+    ref = _ref("stats|icount", config, "icount", traces)
+    got = _run(config, "icount", traces, backend)
     _assert_identical(ref, got)
     if backend == "cloop" and kernel_unavailable_reason() is None:
         assert sized, "the 64-slot pool never reached the C context"
@@ -206,9 +205,9 @@ def test_identical_without_compiled_kernel(config, monkeypatch, ilp_trace, mem_t
     """``REPRO_NO_CKERNEL`` forces the kernel-backed backend onto its
     Python fallback; behaviour must not change."""
     traces = [ilp_trace, mem_trace]
-    ref = _ref("stats|icount|True", config, "icount", traces, True)
+    ref = _ref("stats|icount", config, "icount", traces)
     monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
-    got = _run(config, "icount", traces, backend, True)
+    got = _run(config, "icount", traces, backend)
     _assert_identical(ref, got)
 
 

@@ -48,7 +48,7 @@ def mode(request, monkeypatch):
 def test_run_cycles_limit(config, ilp_trace, mem_trace, mode):
     """A bounded region advances exactly ``n`` cycles and reports it."""
     proc = _proc(config, [ilp_trace, mem_trace])
-    reason = proc.run_cycles(50, use_ff=False)
+    reason = proc.run_cycles(50)
     assert reason == REGION_LIMIT
     assert proc.cycle == 50
     assert proc.stats.cycles == 50
@@ -127,7 +127,7 @@ def test_non_c_policy_delegates(config, ilp_trace, mem_trace):
     proc = _proc(config, [ilp_trace, mem_trace], policy="dcra")
     assert isinstance(proc, CloopProcessor)
     assert not proc.kernel_active()
-    reason = proc.run_cycles(64, use_ff=False)
+    reason = proc.run_cycles(64)
     assert reason == REGION_LIMIT
     assert proc.cycle == 64
     assert proc._cl is None
@@ -223,16 +223,16 @@ def test_policy_state_matches_vectorized_between_regions(
         vec.run_loop(cl.cycle, stop="cycles")
         assert vec.cycle == cl.cycle
         assert _policy_view(cl) == _policy_view(vec), cl.cycle
-    assert cl.ff_skipped_cycles > 0
 
 
 @pytest.mark.parametrize("policy", HOOKED_POLICIES)
 def test_policy_state_matches_vectorized_after_ff_run(
     config, ilp_trace, mem_trace, policy, c_kernel
 ):
+    """One ``run_loop`` to the stop condition: the same end state."""
     cl, vec = _pair(config, [ilp_trace, mem_trace], policy)
     for proc in (cl, vec):
-        proc.run_loop(60_000, use_ff=True)
+        proc.run_loop(60_000)
     for proc in (cl, vec):
         proc.finalize_stats()
     assert cl.cycle == vec.cycle
@@ -263,7 +263,6 @@ def test_released_machine_refuses_to_run(config, ilp_trace, mem_trace,
     for run in (
         lambda: proc.run_loop(10_000, stop="cycles"),
         proc.step,
-        lambda: proc.step_fast(10_000),
         lambda: proc.run_cycles(10),
     ):
         with pytest.raises(RuntimeError, match="released"):

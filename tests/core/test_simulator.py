@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.core.processor import Processor
 from repro.core.simulator import (
     run_simulation,
     run_single_thread,
     run_workload,
 )
+from repro.policies import make_policy
 from repro.trace.workloads import build_pool
 
 
@@ -92,3 +94,40 @@ def test_result_is_deterministic(config, ilp_trace, mem_trace):
     b = run_simulation(config, "cssp", [ilp_trace, mem_trace])
     assert a.cycles == b.cycles
     assert a.committed_per_thread == b.committed_per_thread
+
+
+def test_first_done_stops_exactly(config, ilp_trace, mem_trace):
+    """``run_simulation`` stops on the commit cycle of the deciding thread.
+
+    The pinned value is a regression guard for the old 16-cycle stop-poll,
+    which overshot by up to 15 cycles and skewed ``cycles`` (and with it
+    every per-thread IPC) — the exact cycle is asserted against a manual
+    cycle-by-cycle loop, then pinned.
+    """
+    res = run_simulation(config, "icount", [ilp_trace, mem_trace])
+    proc = Processor(config, make_policy("icount"), [ilp_trace, mem_trace])
+    while not proc.any_done():
+        proc.step()
+    assert res.cycles == proc.cycle
+    assert res.cycles == 2726  # pinned: exact commit cycle of thread 0
+
+
+def test_all_done_stops_exactly(config, ilp_trace, ilp_trace_b):
+    res = run_simulation(config, "icount", [ilp_trace, ilp_trace_b], stop="all_done")
+    proc = Processor(config, make_policy("icount"), [ilp_trace, ilp_trace_b])
+    while not proc.all_done():
+        proc.step()
+    assert res.cycles == proc.cycle
+    assert res.cycles == 2599  # pinned
+
+
+def test_stop_mode_cycles_unaffected(config, ilp_trace, mem_trace):
+    """stop="cycles" runs exactly max_cycles under a gating policy."""
+    res = run_simulation(
+        config,
+        "stall",
+        [ilp_trace, mem_trace],
+        max_cycles=5_000,
+        stop="cycles",
+    )
+    assert res.cycles == 5_000

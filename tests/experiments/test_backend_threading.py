@@ -78,37 +78,56 @@ def test_work_items_carry_the_runner_backend():
 def test_cost_model_buckets_split_by_backend():
     model = costmodel.CostModel()
     # prior: the vectorized engine is faster than the reference
-    assert model.rate("icount", "mem", True, "vectorized") < model.rate(
-        "icount", "mem", True, "reference"
+    assert model.rate("icount", "mem", "vectorized") < model.rate(
+        "icount", "mem", "reference"
     )
     # observations calibrate one engine's bucket without touching the other
     runner = _mini_runner(backend="vectorized")
     item = parallel.sweep_items(
         runner, figure2_config(32), ["icount"], list(runner.pool)
     )[0]
-    ref_before = model.rate("icount", item.workload.wtype, True, "reference")
-    vec_before = model.rate("icount", item.workload.wtype, True, "vectorized")
+    ref_before = model.rate("icount", item.workload.wtype, "reference")
+    vec_before = model.rate("icount", item.workload.wtype, "vectorized")
     for _ in range(8):
         model.observe(item, 123.0)
-    assert model.rate("icount", item.workload.wtype, True, "vectorized") > (
+    assert model.rate("icount", item.workload.wtype, "vectorized") > (
         vec_before * 100
     )
     assert model.rate(
-        "icount", item.workload.wtype, True, "reference"
+        "icount", item.workload.wtype, "reference"
     ) == pytest.approx(ref_before)
 
 
-def test_cost_model_migrates_legacy_keys_to_reference(tmp_path):
+def test_cost_model_loads_version_1_file_cold(tmp_path):
+    """A version-1 file (buckets keyed by fast-forward too) loads cold,
+    and the next save overwrites it in the current format."""
     path = tmp_path / "cm.json"
     path.write_text(
         json.dumps(
-            {"version": 1, "rates": {"icount|ilp|ff": {"rate": 0.5, "n": 9}}}
+            {
+                "version": 1,
+                "rates": {
+                    "icount|ilp|vectorized|ff": {"rate": 0.5, "n": 9},
+                    "icount|ilp|ff": {"rate": 0.5, "n": 9},
+                },
+            }
         )
     )
     model = costmodel.CostModel(path)
-    assert model.rate("icount", "ilp", True, "reference") == 0.5
-    # the vectorized bucket starts cold (prior), not from reference data
-    assert model.rate("icount", "ilp", True, "vectorized") != 0.5
+    prior = costmodel.CostModel()
+    for backend in ("reference", "vectorized"):
+        assert model.rate("icount", "ilp", backend) == prior.rate(
+            "icount", "ilp", backend
+        )
+    runner = _mini_runner(backend="vectorized")
+    item = parallel.sweep_items(
+        runner, figure2_config(32), ["icount"], list(runner.pool)
+    )[0]
+    model.observe(item, 1.0)
+    assert model.save()
+    data = json.loads(path.read_text())
+    assert data["version"] == costmodel.VERSION
+    assert list(data["rates"]) == [f"icount|{item.workload.wtype}|vectorized"]
 
 
 # -- sweep-level bit-identity (the contract that keeps RunKey backend-free) --

@@ -85,6 +85,24 @@ def test_parallel_sweep_matches_serial(pool):
         )
 
 
+def test_run_and_hit_counts_do_not_depend_on_jobs(pool, tmp_path):
+    """Each key counts once, as a simulation run or as a cache hit, at
+    any worker count: on a fresh cache and on a fully cached one."""
+    config = figure2_config(32)
+    traces = [w.traces[0] for w in pool]
+    n = len(POLICIES) * len(pool.workloads) + len(traces)
+    counts = {1: [], 2: []}
+    for jobs, seen in counts.items():
+        for _ in ("fresh", "cached"):
+            runner = ExperimentRunner(
+                "smoke", cache_dir=tmp_path / f"jobs{jobs}", pool=pool, jobs=jobs
+            )
+            runner.sweep(config, POLICIES)
+            runner.run_singles(config, traces)
+            seen.append((runner.sims_run, runner.cache_hits))
+    assert counts[1] == counts[2] == [(n, 0), (0, n)]
+
+
 def test_concurrent_runners_share_cache_dir(pool, tmp_path):
     """Two runners racing on the same keys and cache_dir: no corruption."""
     config = figure2_config(32)
