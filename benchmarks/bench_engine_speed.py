@@ -343,28 +343,26 @@ def bench_sweep_smoke_jobs4(benchmark, speed_log):
     parallel.shutdown()
 
 
-def bench_sweep_resume_overhead(benchmark, speed_log, tmp_path_factory):
-    """A fully-journaled --resume sweep with nothing left to run: the cost
-    of loading the journal and validating every key against the cache."""
+def bench_sweep_cached_rerun(benchmark, speed_log, tmp_path_factory):
+    """A plain rerun of a finished sweep into its filled cache, nothing
+    left to run: the cost of reading every key back from the cache."""
     from repro.experiments.runner import ExperimentRunner, figure2_config
 
     config = figure2_config(32)
     pool = _smoke_pool()
-    cache_dir = tmp_path_factory.mktemp("resume-bench")
+    cache_dir = tmp_path_factory.mktemp("rerun-bench")
     warm = ExperimentRunner("smoke", pool=pool, cache_dir=cache_dir)
     warm.sweep(config, _SWEEP_POLICIES)
 
     def run():
-        runner = ExperimentRunner(
-            "smoke", pool=pool, cache_dir=cache_dir, resume=True
-        )
+        runner = ExperimentRunner("smoke", pool=pool, cache_dir=cache_dir)
         result = runner.sweep(config, _SWEEP_POLICIES)
         assert runner.sims_run == 0
         return len(result)
 
     n = benchmark(run)
     assert n == 4
-    _record(speed_log, "sweep_resume_overhead", benchmark)
+    _record(speed_log, "sweep_cached_rerun", benchmark)
 
 
 def bench_trace_generation(benchmark):

@@ -3,12 +3,14 @@
 
 Launches ``repro-sim sweep --executor tcp`` as a coordinator subprocess,
 connects two ``repro-sim worker`` subprocesses over loopback TCP, then
-SIGKILLs one worker as soon as the checkpoint journal shows progress.
-The coordinator must re-queue the dead worker's leased items onto the
-survivor and finish the sweep, and the resulting cache tree must be
-**byte-identical** to a plain ``--jobs 1`` local run of the same sweep:
+SIGKILLs one worker as soon as the coordinator's ``sweep_trace.jsonl``
+shows a completed item.  The coordinator must re-queue the dead worker's
+leased items onto the survivor and finish the sweep, and the resulting
+cache tree must be **byte-identical** to a plain ``--jobs 1`` local run
+of the same sweep:
 
-* every (policy, workload) key journaled exactly once;
+* every (policy, workload) key completed exactly once (one
+  ``sweep_trace.jsonl`` row each: ``complete_item`` writes one per call);
 * every cache entry present with exactly the bytes the serial run wrote;
 * both the coordinator and the surviving worker exit 0.
 
@@ -67,11 +69,15 @@ def _cache_tree(cache_dir: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(cache_dir.glob("*.json"))}
 
 
-def _journal_lines(cache_dir: Path) -> list[str]:
+def _completed(cache_dir: Path) -> list[tuple[str, str]]:
+    """``(policy, workload)`` of every finished ``sweep_trace.jsonl`` row
+    (a row the coordinator is still appending has no newline yet)."""
     try:
-        return (cache_dir / "sweep.journal").read_text().splitlines()
+        text = (cache_dir / "sweep_trace.jsonl").read_text()
     except OSError:
         return []
+    rows = text.splitlines()[: text.count("\n")]
+    return [(r["policy"], r["workload"]) for r in map(json.loads, rows)]
 
 
 def main() -> int:
@@ -103,7 +109,7 @@ def main() -> int:
         print(ref.stdout + ref.stderr, file=sys.stderr)
         print("FAIL: serial reference run failed", file=sys.stderr)
         return 1
-    total = len(_journal_lines(serial_dir))
+    total = len(_cache_tree(serial_dir))
 
     # 2. coordinator on a free loopback port
     coord = subprocess.Popen(
@@ -139,14 +145,14 @@ def main() -> int:
         for _ in range(args.workers)
     ]
 
-    # 4. SIGKILL one worker as soon as the journal shows progress
+    # 4. SIGKILL one worker as soon as the trace shows a completed item
     deadline = time.monotonic() + 300
     while time.monotonic() < deadline and coord.poll() is None:
-        if len(_journal_lines(tcp_dir)) >= 1:
+        if _completed(tcp_dir):
             break
         time.sleep(0.01)
-    journaled_at_kill = len(_journal_lines(tcp_dir))
-    killed_mid_run = coord.poll() is None and journaled_at_kill < total
+    completed_at_kill = len(_completed(tcp_dir))
+    killed_mid_run = coord.poll() is None and completed_at_kill < total
     workers[0].kill()
     workers[0].wait()
     if not killed_mid_run:
@@ -157,19 +163,19 @@ def main() -> int:
     coord_out, coord_err = coord.communicate(timeout=600)
     survivor_rcs = [w.wait(timeout=120) for w in workers[1:]]
 
-    journal = _journal_lines(tcp_dir)
+    completed = _completed(tcp_dir)
     ref_tree, tcp_tree = _cache_tree(serial_dir), _cache_tree(tcp_dir)
     requeue_seen = "re-queuing" in coord_err
 
     summary = {
         "total": total,
         "killed_mid_run": killed_mid_run,
-        "journaled_at_kill": journaled_at_kill,
+        "completed_at_kill": completed_at_kill,
         "requeue_seen": requeue_seen,
         "coordinator_rc": coord.returncode,
         "survivor_rcs": survivor_rcs,
-        "journal_lines": len(journal),
-        "journal_unique": len(set(journal)),
+        "trace_rows": len(completed),
+        "trace_unique": len(set(completed)),
         "cache_entries": len(tcp_tree),
         "byte_identical": tcp_tree == ref_tree,
     }
@@ -177,7 +183,7 @@ def main() -> int:
         coord.returncode == 0
         and all(rc == 0 for rc in survivor_rcs)
         and total > 0
-        and len(journal) == len(set(journal)) == total
+        and len(completed) == len(set(completed)) == total
         and summary["byte_identical"]
         # the kill must actually have been absorbed mid-run, unless the
         # sweep was simply too fast for the kill to land

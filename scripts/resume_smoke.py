@@ -2,11 +2,12 @@
 """Kill/resume smoke test for the sweep engine.
 
 Launches a serial smoke-scale sweep in a child process, SIGKILLs it as
-soon as its checkpoint journal shows progress, then resumes the sweep
-with ``resume=True`` on the worker pool and verifies that
+soon as its first result-cache entry appears, then reruns the sweep on
+the same cache dir — no flag: the cache is the record of what finished
+— on the worker pool and verifies that
 
-* the resumed runner executed exactly the simulations the killed run had
-  not cached, and
+* the rerun executed exactly the simulations the killed run had not
+  cached, and
 * the finished sweep covers every (policy, workload) pair.
 
 Prints a one-line JSON summary on success and exits non-zero on any
@@ -19,8 +20,7 @@ is SIGTERMed mid-sweep (graceful shutdown drains in-flight items and
 serializes the job to ``service_state.json``), and a restarted server
 on the same cache dir resumes the job **under its original id** and
 finishes it — with every simulation appearing exactly once across both
-lives in ``sweep_trace.jsonl`` and the journal.  Used by the
-``service-smoke`` CI job.
+lives in ``sweep_trace.jsonl``.  Used by the ``service-smoke`` CI job.
 
 Usage: python scripts/resume_smoke.py [--cache-dir DIR] [--server]
 """
@@ -104,11 +104,18 @@ def _start_server(cache_dir: Path) -> tuple[subprocess.Popen, int]:
     raise RuntimeError("server did not announce a port within 60s")
 
 
+def _rows(path: Path) -> list[str]:
+    """Lines of ``path``; none while it does not exist yet."""
+    try:
+        return path.read_text().splitlines()
+    except OSError:
+        return []
+
+
 def server_mode(cache_dir: Path) -> dict:
     """Kill/restart a *server* mid-sweep; assert exactly-once completion."""
     from repro.service.client import ServiceClient
 
-    journal = cache_dir / "sweep.journal"
     trace = cache_dir / "sweep_trace.jsonl"
     state_file = cache_dir / "service_state.json"
     total = len(POLICIES) * 3  # ISPEC00 has 3 workloads at smoke scale
@@ -118,18 +125,16 @@ def server_mode(cache_dir: Path) -> dict:
     client = ServiceClient(port=port, tenant="resume")
     client.wait_ready(timeout=60)
     job_id = client.submit_sweep(SERVER_SWEEP)["id"]
+    # complete_item writes one sweep_trace.jsonl row per executed item
     deadline = time.monotonic() + 300
     while time.monotonic() < deadline and proc.poll() is None:
-        try:
-            if len(journal.read_text().splitlines()) >= 1:
-                break
-        except OSError:
-            pass
+        if _rows(trace):
+            break
         time.sleep(0.02)
     killed_mid_run = proc.poll() is None
     proc.send_signal(signal.SIGTERM)
     first_exit = proc.wait(timeout=120)
-    journaled_before = len(journal.read_text().splitlines())
+    executed_before = len(_rows(trace))
     state_saved = state_file.exists()
 
     # 2. second life: same cache dir, the job resumes under its own id
@@ -146,18 +151,16 @@ def server_mode(cache_dir: Path) -> dict:
     # 3. exactly-once verdicts across both lives
     executed = [
         (row["policy"], row["workload"])
-        for row in map(json.loads, trace.read_text().splitlines())
+        for row in map(json.loads, _rows(trace))
     ]
-    journaled = journal.read_text().splitlines()
     summary = {
         "mode": "server",
         "total": total,
         "killed_mid_run": killed_mid_run,
         "state_saved": state_saved,
-        "journaled_before_restart": journaled_before,
         "resumed_job_id_preserved": resumed_flag,
         "final_state": final.get("state"),
-        "first_life_executed": journaled_before,
+        "first_life_executed": executed_before,
         "second_life_executed": final.get("executed"),
         "resumed_hits": final.get("hits"),
         "trace_rows": len(executed),
@@ -169,10 +172,9 @@ def server_mode(cache_dir: Path) -> dict:
         final.get("state") == "done"
         # every simulation ran exactly once across both lives
         and len(executed) == len(set(executed)) == total
-        and len(journaled) == len(set(journaled)) == total
         # the restarted job skipped exactly what the first life finished
-        and final.get("hits") == journaled_before
-        and final.get("executed") == total - journaled_before
+        and final.get("hits") == executed_before
+        and final.get("executed") == total - executed_before
         and (not killed_mid_run or (state_saved and resumed_flag))
         and first_exit == 0
         and second_exit == 0
@@ -206,9 +208,9 @@ def main() -> int:
             tmp.cleanup()
         return 0 if summary["ok"] else 1
 
-    journal = cache_dir / "sweep.journal"
-
-    # 1. start a serial sweep and kill it once the journal shows progress
+    # 1. start a serial sweep and kill it once a cache entry shows progress
+    # (the serial path writes no sweep_trace.jsonl rows; its *.json cache
+    # entries land atomically, so a listed entry is a finished one)
     child = subprocess.Popen(
         [sys.executable, "-c", CHILD_CODE, str(cache_dir)],
         stdout=subprocess.DEVNULL,
@@ -216,21 +218,18 @@ def main() -> int:
     )
     deadline = time.monotonic() + 120
     while time.monotonic() < deadline and child.poll() is None:
-        try:
-            if len(journal.read_text().splitlines()) >= 1:
-                break
-        except OSError:
-            pass
+        if any(cache_dir.glob("*.json")):
+            break
         time.sleep(0.02)
     killed = child.poll() is None
     if killed:
         child.send_signal(signal.SIGKILL)
     child.wait()
     if not killed:
-        print("warning: child finished before the kill; resume has no work",
+        print("warning: child finished before the kill; the rerun has no work",
               file=sys.stderr)
 
-    # 2. resume on the worker pool
+    # 2. rerun on the worker pool, same cache dir, no flag
     from repro.experiments import parallel
     from repro.experiments.runner import ExperimentRunner, figure2_config
     from repro.trace.workloads import build_pool
@@ -240,9 +239,7 @@ def main() -> int:
     total = len(POLICIES) * len(pool.workloads)
     cached_before = len(list(cache_dir.glob("*.json")))
 
-    runner = ExperimentRunner(
-        "smoke", pool=pool, cache_dir=cache_dir, jobs=2, resume=True
-    )
+    runner = ExperimentRunner("smoke", pool=pool, cache_dir=cache_dir, jobs=2)
     result = runner.sweep(config, POLICIES, label="resume")
     parallel.shutdown()
 
@@ -250,17 +247,15 @@ def main() -> int:
         "total": total,
         "killed_mid_run": killed,
         "cached_before": cached_before,
-        "journaled_before": len(runner.resume_completed),
         "resumed_sims": runner.sims_run,
+        "resumed_hits": runner.cache_hits,
         "complete": len(result) == total,
     }
     ok = (
         summary["complete"]
-        # every cached entry is skipped, everything else re-runs: the killed
-        # run may have cached a key without journaling it (killed between the
-        # two writes); the cache check still catches those
+        # every cached entry is skipped, everything else re-runs
         and runner.sims_run == total - cached_before
-        and len(runner.resume_completed) <= cached_before
+        and runner.cache_hits == cached_before
     )
     print(json.dumps(summary))
     if tmp is not None:

@@ -114,12 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker processes (default: REPRO_JOBS or all cores)",
     )
     p_fig.add_argument(
-        "--resume",
-        action="store_true",
-        help="trust the sweep journal in --cache-dir and re-run only the "
-        "simulations it does not list as complete",
-    )
-    p_fig.add_argument(
         "--backend",
         choices=BACKENDS,
         default=None,
@@ -156,12 +150,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="local worker processes (default: REPRO_JOBS or all cores); "
         "ignored with --executor tcp",
-    )
-    p_sweep.add_argument(
-        "--resume",
-        action="store_true",
-        help="trust the sweep journal in --cache-dir and re-run only the "
-        "simulations it does not list as complete",
     )
     p_sweep.add_argument(
         "--backend",
@@ -391,7 +379,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         args.scale,
         cache_dir=args.cache_dir,
         jobs=resolve_jobs(args.jobs),
-        resume=args.resume,
         backend=args.backend,
         executor=args.executor,
         fabric=_fabric_settings(args),
@@ -585,7 +572,7 @@ def main(argv: list[str] | None = None) -> int:
             )
         res = run_workload(
             config,
-            args.policy,
+            runner._make_policy(args.policy),
             wl,
             warmup_uops=runner.scale.warmup_uops,
             prewarm_caches=True,
@@ -625,7 +612,6 @@ def main(argv: list[str] | None = None) -> int:
             args.scale,
             cache_dir=args.cache_dir,
             jobs=resolve_jobs(args.jobs),
-            resume=args.resume,
             backend=args.backend,
             executor=args.executor,
             fabric=_fabric_settings(args),

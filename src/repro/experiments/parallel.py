@@ -19,12 +19,15 @@ workers over TCP.  Two shared pieces sit on top:
   :meth:`ExperimentRunner.sweep` on every executor: dedup and cache check,
   longest-expected-first (LPT) order from the cost model
   (:mod:`repro.experiments.costmodel`), a bounded in-flight window, the
-  progress line, the ``sweep_start``/``item``/``sweep_end`` events, abort
-  and error mapping;
+  progress line and error mapping;
 * :func:`complete_item`, the **one completion path**, which that loop and
-  the service's dispatcher both call: cache put, journal mark
-  (:mod:`repro.experiments.journal`, so ``--resume`` re-executes only
-  missing keys), cost-model calibration and the timing record.
+  the service's dispatcher both call: cache put, cost-model calibration
+  and the timing record.
+
+Whether an item needs running at all is the runner's one done-rule,
+:meth:`ExperimentRunner._done_record`, which :func:`is_complete` asks: the
+result cache is the only record of what finished, so rerunning an
+interrupted sweep executes exactly the missing keys.
 
 The local pool is **persistent and lazily spawned**: one
 :class:`~concurrent.futures.ProcessPoolExecutor` is shared by every sweep
@@ -231,7 +234,7 @@ def run_item(
 
     Returns ``(key, record, seconds, worker)``.  ``seconds`` feeds the
     cost model; ``worker`` (``{"worker_pid": pid}``) goes verbatim into
-    the timing record and the ``item`` event.
+    the timing record.
     """
     from pathlib import Path
 
@@ -316,7 +319,7 @@ class _Progress:
     """Live ``hit/ran/total`` line on stderr.
 
     Cache-hit items are reported separately from executed ones, so a
-    mostly-cached resume shows how much real work remains instead of a
+    mostly-cached rerun shows how much real work remains instead of a
     misleading grand total.  Written to stderr only (never stdout, so
     ``repro-sim ... | jq`` style pipelines stay clean) and suppressed
     entirely when neither stdout nor stderr is a terminal — a redirected
@@ -361,25 +364,11 @@ class _Progress:
 
 
 def is_complete(runner: "ExperimentRunner", item: WorkItem) -> bool:
-    """Whether ``item`` needs no execution (cache hit, exports present).
+    """Whether ``item`` needs no execution: ``runner``'s done-rule.
 
     A probe: it counts nothing on ``runner``; the caller that serves the
     cached record instead of a simulation counts the hit."""
-    from repro.telemetry import exports_complete
-
-    if runner._cache_get(item.key) is None:
-        return False
-    if item.key in runner.resume_completed:
-        # journal-trusted: the key was marked only after its cache entry
-        # and telemetry exports were durably written
-        return True
-    if item.telemetry_dir is not None:
-        # cached record but possibly missing telemetry export: re-run (the
-        # simulation is deterministic, so the record is rewritten
-        # bit-identically alongside its telemetry files)
-        teldir = runner.telemetry_path(item.key)
-        return teldir is None or exports_complete(teldir)
-    return True
+    return runner._done_record(item.key) is not None
 
 
 def complete_item(
@@ -396,15 +385,13 @@ def complete_item(
 
     ``result`` is what :func:`run_item` returned (through any executor),
     ``submitted`` the :func:`time.perf_counter` reading when the item was
-    handed to its executor.  Writes the cache entry, journals the key
-    (after the entry, so the journal never vouches for a missing one),
-    counts it in ``sims_run``, calibrates the cost model, and records the
-    timing — predicted vs measured seconds, queue wait, who ran it, plus
-    ``tag`` — in ``runner.sweep_log`` and ``sweep_trace.jsonl``.
+    handed to its executor.  Writes the cache entry, counts it in
+    ``sims_run``, calibrates the cost model, and records the timing —
+    predicted vs measured seconds, queue wait, who ran it, plus ``tag`` —
+    in ``runner.sweep_log`` and as one row of ``sweep_trace.jsonl``.
     """
     key, rec, seconds, worker = result
     runner._cache_put(key, rec)
-    runner._mark_complete(key)
     runner.sims_run += 1
     cost_model().observe(item, seconds)
     timing = {
@@ -454,13 +441,11 @@ def run_items(
     its own backpressure: the hub leases within each worker's window.
 
     An item's exception ends the sweep and propagates (a dead local pool
-    is reset first and reported as a :class:`RuntimeError`); an abort
-    request from ``runner.abort_cb`` stops launching, lets running items
-    finish into the cache and raises :class:`SweepAborted`.
+    is reset first and reported as a :class:`RuntimeError`); items that
+    finished before it stay cached.
     """
     if executor is None and jobs <= 1:
         return 0
-    runner._check_abort()
     todo: list[WorkItem] = []
     hits = 0
     seen: set["RunKey"] = set()
@@ -495,18 +480,6 @@ def run_items(
     inflight: dict[Future, tuple[WorkItem, float]] = {}
     finished: SimpleQueue[Future] = SimpleQueue()
     executed = 0
-    aborted = False
-    runner._notify(
-        {
-            "event": "sweep_start",
-            "label": label,
-            **tag,
-            "total": len(todo) + hits,
-            "hits": hits,
-            "to_run": len(todo),
-            "jobs": workers,
-        }
-    )
 
     def _submit_next() -> None:
         item = queue.popleft()
@@ -528,61 +501,21 @@ def run_items(
                 predicted_s=estimates[id(item)], submitted=submitted, tag=tag,
             )
             executed += 1
-            key, _rec, seconds, worker = result
-            progress.tick(key)
-            runner._notify(
-                {
-                    "event": "item",
-                    "label": label,
-                    "scale": key.scale,
-                    "policy": key.policy,
-                    "workload": key.workload,
-                    "cached": False,
-                    "elapsed_s": round(seconds, 6),
-                    **worker,
-                    "done": progress.done,
-                    "to_run": progress.to_run,
-                    "hits": hits,
-                }
-            )
-            if not aborted and runner.abort_cb is not None:
-                try:
-                    aborted = bool(runner.abort_cb())
-                except Exception:  # noqa: BLE001 - treat a broken
-                    aborted = True  # callback as an abort request
-                if aborted:
-                    for waiting in inflight:
-                        waiting.cancel()  # not started yet: never will
-            if queue and not aborted:
+            progress.tick(item.key)
+            if queue:
                 _submit_next()
     except BrokenProcessPool:
         shutdown()  # reset so the next call gets a healthy pool
         raise RuntimeError(
             "sweep worker pool died mid-run (worker killed or crashed); "
-            "the pool has been reset — re-run, optionally with --resume"
+            "the pool has been reset — re-run the sweep; what finished "
+            "is cached"
         ) from None
     finally:
         for fut in inflight:
             fut.cancel()
         progress.close()
         model.save()
-        runner._notify(
-            {
-                "event": "sweep_end",
-                "label": label,
-                **tag,
-                "executed": executed,
-                "hits": hits,
-                "aborted": aborted,
-            }
-        )
-    if aborted:
-        from repro.experiments.runner import SweepAborted
-
-        raise SweepAborted(
-            f"sweep {label!r} aborted after {executed} of {len(todo)} "
-            "simulations; completed work is cached and journaled"
-        )
     return executed
 
 

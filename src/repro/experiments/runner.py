@@ -14,15 +14,15 @@ All figure reproductions funnel their simulations through one
 * fans sweeps out over worker processes when asked to (``jobs=`` or the
   ``REPRO_JOBS`` environment variable — see
   :mod:`repro.experiments.parallel`); the parallel path only prefetches
-  cache entries, so results are bit-identical to a serial run;
-* journals every completed run next to the disk cache
-  (:mod:`repro.experiments.journal`) so an interrupted sweep restarted
-  with ``resume=True`` (CLI ``--resume``) re-executes only missing keys.
+  cache entries, so results are bit-identical to a serial run.
 
-Disk cache writes go through a temp file and :func:`os.replace`, so
-concurrent runners sharing one ``cache_dir`` never observe a half-written
-entry; unreadable entries (e.g. left by a killed writer predating the
-atomic scheme) are treated as misses and re-run.
+The disk cache is the only record of what finished: a rerun of an
+interrupted sweep on the same ``cache_dir`` re-executes only the keys
+:meth:`ExperimentRunner._done_record` does not find done.  Disk cache
+writes go through a temp file and :func:`os.replace`, so concurrent
+runners sharing one ``cache_dir`` never observe a half-written entry;
+unreadable entries (e.g. left by a killed writer predating the atomic
+scheme) are treated as misses and re-run.
 
 Every simulation uses warmup (a fraction of the trace) and ILP-trace cache
 prewarm, per DESIGN.md's steady-state substitution notes.
@@ -36,7 +36,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from repro.config import ProcessorConfig, baseline_config
 from repro.core.backends import resolve_backend
@@ -44,15 +44,6 @@ from repro.core.simulator import SimResult, run_simulation
 from repro.telemetry import Telemetry, TelemetryConfig, export_all, exports_complete
 from repro.trace.trace import Trace
 from repro.trace.workloads import Workload, WorkloadPool, build_pool
-
-
-class SweepAborted(RuntimeError):
-    """Raised when a runner's ``abort_cb`` asked for cancellation.
-
-    The runner stops launching new simulations; everything already
-    completed is cached and journaled, so a later run (or ``--resume``)
-    picks up exactly where the abort left off.
-    """
 
 
 @dataclass(frozen=True)
@@ -146,6 +137,10 @@ class RunRecord:
 class ExperimentRunner:
     """Workload pool + cached simulation front door."""
 
+    #: Always None: the result cache is the only record of what finished.
+    #: ``perfbench/workloads.py`` (``FigSweep.close``) still reads it.
+    journal = None
+
     def __init__(
         self,
         scale: Scale | str | None = None,
@@ -154,10 +149,7 @@ class ExperimentRunner:
         jobs: int | None = None,
         telemetry_dir: str | Path | None = None,
         telemetry: TelemetryConfig | None = None,
-        resume: bool = False,
         backend: str | None = None,
-        progress_cb: Callable[[dict[str, Any]], None] | None = None,
-        abort_cb: Callable[[], bool] | None = None,
         executor: str | None = None,
         fabric: "Any | None" = None,
     ) -> None:
@@ -200,31 +192,9 @@ class ExperimentRunner:
         #: (neither moves with ``jobs=`` or the executor)
         self.sims_run = 0
         self.cache_hits = 0
-        # Checkpoint journal: every completed key is recorded next to the
-        # disk cache (after its cache entry and telemetry exports are
-        # written).  With resume=True the journal is preloaded and those
-        # keys are trusted as complete, so an interrupted sweep re-executes
-        # only the missing ones (CLI: --resume).
-        from repro.experiments.journal import JOURNAL_NAME, SweepJournal
-
-        self.journal = (
-            SweepJournal(self.cache_dir / JOURNAL_NAME) if self.cache_dir else None
-        )
-        self.resume_completed: frozenset[RunKey] = frozenset(
-            self.journal.load() if (resume and self.journal) else ()
-        )
         #: scheduling/timing records of dispatched items (one dict per
         #: executed item; see repro.experiments.parallel.complete_item)
         self.sweep_log: list[dict[str, Any]] = []
-        # Programmatic progress/cancel hooks.  The stderr progress line of
-        # repro.experiments.parallel.run_items stays the default consumer;
-        # progress_cb additionally receives one dict per completed
-        # simulation ("run"/"item" events) and sweep start/end markers —
-        # the service layer streams these to HTTP clients.  abort_cb is
-        # polled before each new simulation; returning True raises
-        # SweepAborted instead of launching more work.
-        self.progress_cb = progress_cb
-        self.abort_cb = abort_cb
         # Sweep executor: "local" (the shared process pool; default) or
         # "tcp" (a repro.fabric hub leasing items to remote workers).
         # Resolved eagerly — argument > REPRO_EXECUTOR > local — so an
@@ -236,36 +206,6 @@ class ExperimentRunner:
 
         self.executor = resolve_executor(executor)
         self.fabric = fabric
-
-    # -- progress / cancellation hooks ---------------------------------------
-
-    def _notify(self, event: dict[str, Any]) -> None:
-        """Deliver a progress event to ``progress_cb`` (never raises)."""
-        cb = self.progress_cb
-        if cb is None:
-            return
-        try:
-            cb(event)
-        except Exception:  # noqa: BLE001 - a bad consumer must not kill a sweep
-            pass
-
-    def _notify_run(self, key: RunKey, cached: bool) -> None:
-        self._notify(
-            {
-                "event": "run",
-                "scale": key.scale,
-                "policy": key.policy,
-                "workload": key.workload,
-                "stop": key.stop,
-                "cached": cached,
-            }
-        )
-
-    def _check_abort(self) -> None:
-        """Raise :class:`SweepAborted` if the abort callback asks for it."""
-        cb = self.abort_cb
-        if cb is not None and cb():
-            raise SweepAborted("abort requested by abort_cb")
 
     # -- pool ---------------------------------------------------------------
 
@@ -301,7 +241,8 @@ class ExperimentRunner:
         The paper uses a 128K-cycle interval on traces billions of
         instructions long; our runs last tens of thousands of cycles, so
         the interval scales proportionally (several adaptations per run,
-        as in the paper).
+        as in the paper).  Every simulation the runner launches, and
+        ``repro-sim run``, builds its policy here.
         """
         from repro.policies.registry import make_policy
 
@@ -415,10 +356,20 @@ class ExperimentRunner:
                     pass
                 raise
 
-    def _mark_complete(self, key: RunKey) -> None:
-        """Journal ``key`` as fully done (cache entry + exports on disk)."""
-        if self.journal is not None:
-            self.journal.mark(key)
+    def _done_record(self, key: RunKey) -> RunRecord | None:
+        """The record of ``key`` if it is done, else None: the one done-rule
+        of the serial path and of every dispatcher (a probe: counts nothing).
+
+        A key is done when its cache entry reads back and, with telemetry
+        on, its export directory holds ``meta.json``, which is written last.
+        """
+        rec = self._cache_get(key)
+        if rec is None:
+            return None
+        teldir = self.telemetry_path(key)
+        if teldir is not None and not exports_complete(teldir):
+            return None
+        return rec
 
     def _run_cached(
         self,
@@ -432,27 +383,18 @@ class ExperimentRunner:
         """Serve ``key`` from the cache or simulate it: the one cached-run
         path behind :meth:`run`, :meth:`run_single` and the sweeps.
 
-        With telemetry enabled, a cached record is only honoured when its
-        telemetry export is also on disk (keys the resume journal vouches
-        for skip that scan); otherwise the simulation re-runs
-        (bit-identical, so the rewritten cache entry does not change).
-        A served record counts as a cache hit unless ``count_hit`` is
-        False: a sweep assembling what its prefetch just decided on has
-        already counted each key as run or hit.
+        A key :meth:`_done_record` does not find done re-runs
+        (bit-identical, so a rewritten cache entry does not change).  A served record counts
+        as a cache hit unless ``count_hit`` is False: a sweep assembling
+        what its prefetch just decided on has already counted each key as
+        run or hit.
         """
-        tel, teldir = self._telemetry_for(key)
-        cached = self._cache_get(key)
-        if cached is not None and (
-            key in self.resume_completed
-            or teldir is None
-            or exports_complete(teldir)
-        ):
-            self._mark_complete(key)
+        cached = self._done_record(key)
+        if cached is not None:
             if count_hit:
                 self.cache_hits += 1
-            self._notify_run(key, cached=True)
             return cached
-        self._check_abort()
+        tel, teldir = self._telemetry_for(key)
         res = run_simulation(
             config,
             self._make_policy(policy),
@@ -469,9 +411,7 @@ class ExperimentRunner:
         if tel is not None and teldir is not None:
             self._export_telemetry(tel, teldir, key)
         self._cache_put(key, rec)
-        self._mark_complete(key)
         self.sims_run += 1
-        self._notify_run(key, cached=False)
         return rec
 
     def run(

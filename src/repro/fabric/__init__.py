@@ -2,9 +2,9 @@
 
 The sweep engine (:mod:`repro.experiments.parallel`) made work units
 idempotent and resumable: every simulation is a pure function of its
-:class:`WorkItem`, results are content-addressed in the disk cache, and
-completion is journaled.  This package adds the missing piece for
-multi-host scale-out — a **transport** — behind one switch:
+:class:`WorkItem`, and results are content-addressed in the disk cache,
+which is the record of what finished.  This package adds the missing
+piece for multi-host scale-out — a **transport** — behind one switch:
 
 * ``executor="local"`` (default): the persistent shared process pool;
 * ``executor="tcp"``: a :class:`~repro.fabric.coordinator.FabricHub`, a
@@ -14,9 +14,9 @@ multi-host scale-out — a **transport** — behind one switch:
 
 Either way :meth:`ExperimentRunner.sweep` drives the executor through the
 one dispatch loop, :func:`repro.experiments.parallel.run_items`, and the
-results land in the same cache + journal, so a distributed sweep is
-bit-identical to a serial one and ``--resume`` works unchanged across
-coordinator restarts.  Executor resolution mirrors the engine's other
+results land in the same cache, so a distributed sweep is bit-identical
+to a serial one, and rerunning it after a coordinator restart executes
+only what is not cached.  Executor resolution mirrors the engine's other
 knobs: explicit argument > ``REPRO_EXECUTOR`` environment > ``local``,
 failing fast on unknown names.
 """

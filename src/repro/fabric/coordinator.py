@@ -6,7 +6,7 @@ stdlib :class:`concurrent.futures.Executor` interface.
 ``submit(run_item, item)`` queues a :class:`WorkItem` and returns a future
 of ``(key, record, seconds, worker)``; whichever worker dials in
 (``repro-sim worker --connect``) runs it.  The dispatch loop, the result
-cache, the journal, the cost model and progress all stay with the caller
+cache, the cost model and progress all stay with the caller
 (:func:`repro.experiments.parallel.run_items`): the hub owns only the
 transport.  Workers are stateless — each item carries everything needed
 to rebuild its traces from seeds (hitting the worker's local trace
@@ -23,11 +23,11 @@ One I/O thread serves every socket:
 
 Failure model: a closed socket, a protocol error or ``lease_timeout``
 seconds of silence drops the worker and **re-queues its leased items**
-ahead of later submissions.  Because the journal ⊆ cache invariant makes
-items idempotent, a lease that was actually completed twice (worker died
-after computing, before the result landed) is byte-identical both times —
-the first result resolves the future and duplicates are discarded, so a
-sweep completes each key exactly once (``scripts/fabric_smoke.py``
+ahead of later submissions.  Items are idempotent (a pure function of
+the item, cached under its key), so a lease that was actually completed
+twice (worker died after computing, before the result landed) is
+byte-identical both times — the first result resolves the future and
+duplicates are discarded, so a sweep completes each key exactly once (``scripts/fabric_smoke.py``
 SIGKILLs a worker mid-sweep and byte-diffs the final cache tree against a
 local run).  A worker's ``error`` reply becomes that item's exception.
 

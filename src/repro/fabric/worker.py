@@ -1,9 +1,9 @@
 """Fabric worker: pull work items from a coordinator and run them.
 
 ``repro-sim worker --connect host:port`` runs one of these.  The worker
-is deliberately dumb: it owns no cache directory, no journal and no
-scheduling state — it decodes each leased :class:`WorkItem`, rebuilds the
-traces from their seed-level specs (served by the shared on-disk
+is deliberately dumb: it owns no cache directory and no scheduling
+state — it decodes each leased :class:`WorkItem`, rebuilds the traces
+from their seed-level specs (served by the shared on-disk
 trace-synthesis cache, so repeated sweeps pay synthesis once per host),
 runs the simulation through the exact same
 :func:`repro.experiments.parallel.run_item` entry point the local pool's

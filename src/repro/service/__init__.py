@@ -11,7 +11,8 @@ The package splits along the request path:
 * :mod:`repro.service.http` — minimal asyncio HTTP/1.1 + NDJSON
   streaming (stdlib only);
 * :mod:`repro.service.server` — the :class:`Service` itself: intake,
-  fair item dispatch onto the worker pool, graceful shutdown/resume;
+  fair item dispatch onto the worker pool, graceful shutdown and
+  restart;
 * :mod:`repro.service.client` — the blocking client the CLI, tests and
   load benchmark share.
 

@@ -229,8 +229,8 @@ class FairScheduler:
         """Queue ``payload`` for ``name`` or raise a 429-shaped error.
 
         ``limited=False`` bypasses the token bucket (service restart
-        re-admitting journaled jobs must never be rate-limited out of
-        its own recovery).
+        re-admitting the jobs it serialized at shutdown must never be
+        rate-limited out of its own recovery).
         """
         state = self.tenant(name)
         if limited and state.bucket is not None:

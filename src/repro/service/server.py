@@ -1,8 +1,8 @@
 """Simulation-as-a-service: an asyncio HTTP/JSON front end over the pool.
 
-One :class:`Service` puts the existing engine — persistent worker pool,
-content-addressed result cache, checkpoint journal — behind a small
-HTTP/1.1 API so many concurrent clients share one simulation pool:
+One :class:`Service` puts the existing engine — persistent worker pool
+and content-addressed result cache — behind a small HTTP/1.1 API so many
+concurrent clients share one simulation pool:
 
 * ``POST /v1/runs`` / ``POST /v1/sweeps`` — submit a job (``X-Tenant``
   header attributes it); returns 202 with the job document, or 429 +
@@ -34,12 +34,12 @@ granularity, so a huge sweep from one tenant cannot lock out another
 tenant's small job.
 
 **Failure semantics**: on SIGTERM/SIGINT the service stops accepting,
-drains in-flight simulations (caching + journaling each), serializes
-every non-terminal job to ``<cache_dir>/service_state.json`` and exits;
-a restart on the same ``cache_dir`` re-admits those jobs under their
-original ids, and the sweep journal + result cache turn everything that
-already ran into instant hits — each work item executes exactly once
-across restarts (``scripts/resume_smoke.py --server`` asserts this).
+drains in-flight simulations (caching each), serializes every
+non-terminal job to ``<cache_dir>/service_state.json`` and exits; a
+restart on the same ``cache_dir`` re-admits those jobs under their
+original ids, and the result cache turns everything that already ran
+into instant hits — each work item executes exactly once across
+restarts (``scripts/resume_smoke.py --server`` asserts this).
 
 The event loop owns all mutable state; simulations run on the shared
 process pool (or an in-process thread pool with ``executor="thread"``)
@@ -173,12 +173,10 @@ class Service:
     # -- plumbing -------------------------------------------------------------
 
     def _runner(self, scale: str) -> ExperimentRunner:
-        """The per-scale runner; all share one cache_dir and journal."""
+        """The per-scale runner; all share one cache_dir."""
         runner = self._runners.get(scale)
         if runner is None:
-            runner = ExperimentRunner(
-                scale, cache_dir=self.cache_dir, resume=True
-            )
+            runner = ExperimentRunner(scale, cache_dir=self.cache_dir)
             self._runners[scale] = runner
         return runner
 
@@ -594,9 +592,9 @@ class Service:
         self._wakeup()
         if self._dispatch_task is not None:
             await self._dispatch_task
-        # Every in-flight simulation completes, is cached and journaled —
-        # the expensive work survives; only *unlaunched* items wait for
-        # the next life.
+        # Every in-flight simulation completes and is cached — the
+        # expensive work survives; only *unlaunched* items wait for the
+        # next life.
         while self._inflight:
             await asyncio.sleep(0.01)
         for task in list(self._tasks):
@@ -611,9 +609,6 @@ class Service:
             self._prep_pool.shutdown(wait=True)
         if self.settings.executor == "process":
             parallel.shutdown()
-        for runner in self._runners.values():
-            if runner.journal is not None:
-                runner.journal.close()
 
     # -- HTTP -----------------------------------------------------------------
 

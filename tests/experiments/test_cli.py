@@ -86,3 +86,30 @@ def test_retired_backend_rejected(capsys, retired):
         main(["run", "--backend", retired, "--scale", "smoke"])
     assert exc.value.code == 2  # argparse: invalid choice
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_run_builds_its_policy_through_the_runner(capsys):
+    """``run`` simulates what ``ExperimentRunner.run`` records for the same
+    machine and workload: CDPRF's interval scales with the run length."""
+    from repro.config import baseline_config
+    from repro.experiments import ExperimentRunner
+
+    assert main(
+        ["run", "--policy", "cdprf", "--category", "mixes", "--index", "0",
+         "--scale", "smoke", "--iq-entries", "32", "--regs", "64", "--json"]
+    ) == 0
+    cli_cycles = json.loads(capsys.readouterr().out)["cycles"]
+
+    runner = ExperimentRunner("smoke")
+    config = baseline_config().with_iq_entries(32).with_regs(64)
+    rec = runner.run(config, "cdprf", runner.pool.by_category("mixes")[0])
+    assert cli_cycles == rec.cycles
+
+
+@pytest.mark.parametrize("command", [["figure", "9"], ["sweep"]])
+def test_resume_flag_is_gone(capsys, command):
+    """A rerun needs no flag: the result cache records what finished."""
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--resume"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --resume" in capsys.readouterr().err

@@ -11,15 +11,16 @@ run's.
 from __future__ import annotations
 
 import dataclasses
+import json
 import socket
 import threading
 import time
+from collections import Counter
 
 import pytest
 
 import repro.fabric as fabric
 from repro.experiments import parallel
-from repro.experiments.journal import JOURNAL_NAME
 from repro.experiments.runner import ExperimentRunner, figure2_config
 from repro.fabric import protocol
 from repro.fabric.coordinator import FabricHub, FabricSettings
@@ -65,6 +66,18 @@ def _cache_tree(cache_dir):
         for p in cache_dir.glob("*.json")
         if p.name != "sweep_trace.jsonl"
     }
+
+
+def _assert_completed_once(cache_dir, pairs):
+    """Each ``(policy, workload)`` of ``pairs`` has exactly one
+    ``sweep_trace.jsonl`` row: ``complete_item`` writes one per call."""
+    rows = (cache_dir / "sweep_trace.jsonl").read_text().splitlines()
+    counts = Counter((r["policy"], r["workload"]) for r in map(json.loads, rows))
+    assert counts == Counter(pairs)
+
+
+def _item_pairs(items):
+    return [(item.key.policy, item.key.workload) for item in items]
 
 
 # -- executor resolution --------------------------------------------------------
@@ -116,9 +129,9 @@ def test_tcp_sweep_is_byte_identical_to_serial(pool, tmp_path):
             expected[key]
         ), key
     assert _cache_tree(tcp_dir) == _cache_tree(serial_dir)
-    # journal complete and duplicate-free
-    lines = (tcp_dir / JOURNAL_NAME).read_text().splitlines()
-    assert len(lines) == len(set(lines)) == len(expected)
+    _assert_completed_once(
+        tcp_dir, [(policy, f"{cat}/{name}") for policy, cat, name in expected]
+    )
 
 
 # -- failure paths ---------------------------------------------------------------
@@ -184,8 +197,7 @@ def test_silent_worker_leases_expire_and_requeue(pool, tmp_path):
     assert leech.leased > 0
     assert hub.drops >= 1
     assert hub.requeued >= leech.leased
-    lines = (tmp_path / "cache" / JOURNAL_NAME).read_text().splitlines()
-    assert len(lines) == len(set(lines)) == len(items)
+    _assert_completed_once(tmp_path / "cache", _item_pairs(items))
 
 
 def test_worker_death_requeues_to_survivor(pool, tmp_path):
@@ -267,8 +279,7 @@ def test_duplicate_results_are_discarded(pool, tmp_path):
     assert doubler.sent == 2 * len(items)
     assert executed == len(items)  # every duplicate discarded
     assert runner.sims_run == len(items)
-    lines = (tmp_path / "cache" / JOURNAL_NAME).read_text().splitlines()
-    assert len(lines) == len(set(lines)) == len(items)
+    _assert_completed_once(tmp_path / "cache", _item_pairs(items))
 
 
 def test_version_mismatch_is_refused(pool, tmp_path):

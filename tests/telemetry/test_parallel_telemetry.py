@@ -67,7 +67,8 @@ def test_exports_byte_identical_at_any_jobs_count(pool, tmp_path):
 
 
 def test_cached_record_without_export_triggers_rerun(pool, tmp_path):
-    """A cache hit is only honoured when its telemetry export is complete."""
+    """A cache hit is only honoured when its telemetry export is complete,
+    on the serial path and in the dispatchers' ``is_complete`` alike."""
     config = figure2_config(32)
     wl = pool.workloads[0]
 
@@ -81,6 +82,8 @@ def test_cached_record_without_export_triggers_rerun(pool, tmp_path):
     observed = ExperimentRunner(
         "smoke", cache_dir=tmp_path / "cache", pool=pool, telemetry_dir=teldir
     )
+    (item,) = parallel.sweep_items(observed, config, ["icount"], [wl])
+    assert not parallel.is_complete(observed, item)
     rec2 = observed.run(config, "icount", wl)
     assert observed.sims_run == 1
     assert dataclasses.asdict(rec2) == dataclasses.asdict(rec)
@@ -91,6 +94,7 @@ def test_cached_record_without_export_triggers_rerun(pool, tmp_path):
     again = ExperimentRunner(
         "smoke", cache_dir=tmp_path / "cache", pool=pool, telemetry_dir=teldir
     )
+    assert parallel.is_complete(again, item)
     again.run(config, "icount", wl)
     assert again.sims_run == 0
 
