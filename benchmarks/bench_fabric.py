@@ -130,7 +130,6 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-fabric-") as tmp:
         base = Path(tmp)
-        os.environ.setdefault("REPRO_COST_MODEL", str(base / "cm.json"))
 
         serial_s, serial_n = _run_serial(
             pool, config, policies, base / "serial"

@@ -3,11 +3,11 @@
 
 Launches ``repro-sim sweep --executor tcp`` as a coordinator subprocess,
 connects two ``repro-sim worker`` subprocesses over loopback TCP, then
-SIGKILLs one worker as soon as the coordinator's ``sweep_trace.jsonl``
-shows a completed item.  The coordinator must re-queue the dead worker's
-leased items onto the survivor and finish the sweep, and the resulting
-cache tree must be **byte-identical** to a plain ``--jobs 1`` local run
-of the same sweep:
+SIGKILLs the worker that completed the first item as soon as the
+coordinator's ``sweep_trace.jsonl`` shows it.  The coordinator must
+re-queue the dead worker's leased items onto the survivor and finish the
+sweep, and the resulting cache tree must be **byte-identical** to a plain
+``--jobs 1`` local run of the same sweep:
 
 * every (policy, workload) key completed exactly once (one
   ``sweep_trace.jsonl`` row each: ``complete_item`` writes one per call);
@@ -53,10 +53,9 @@ ANNOUNCE = re.compile(
 def _env(work_dir: Path) -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
-    # isolate the mutable side state; share the trace cache between the
-    # serial and distributed runs (that sharing is the design: workers
-    # rebuild traces from specs through the same on-disk cache)
-    env["REPRO_COST_MODEL"] = str(work_dir / "cost_model.json")
+    # share the trace cache between the serial and distributed runs (that
+    # sharing is the design: workers rebuild traces from specs through the
+    # same on-disk cache)
     env["REPRO_TRACE_CACHE"] = str(work_dir / "traces")
     return env
 
@@ -69,15 +68,14 @@ def _cache_tree(cache_dir: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(cache_dir.glob("*.json"))}
 
 
-def _completed(cache_dir: Path) -> list[tuple[str, str]]:
-    """``(policy, workload)`` of every finished ``sweep_trace.jsonl`` row
-    (a row the coordinator is still appending has no newline yet)."""
+def _completed(cache_dir: Path) -> list[dict]:
+    """Every finished ``sweep_trace.jsonl`` row (a row the coordinator is
+    still appending has no newline yet)."""
     try:
         text = (cache_dir / "sweep_trace.jsonl").read_text()
     except OSError:
         return []
-    rows = text.splitlines()[: text.count("\n")]
-    return [(r["policy"], r["workload"]) for r in map(json.loads, rows)]
+    return [json.loads(row) for row in text.splitlines()[: text.count("\n")]]
 
 
 def main() -> int:
@@ -145,25 +143,34 @@ def main() -> int:
         for _ in range(args.workers)
     ]
 
-    # 4. SIGKILL one worker as soon as the trace shows a completed item
+    # 4. SIGKILL, as soon as the trace shows a completed item, the worker
+    #    that completed it: it has dialled in and holds leases, where the
+    #    other may not have connected yet (and would leave nothing to
+    #    re-queue)
+    rows: list[dict] = []
     deadline = time.monotonic() + 300
     while time.monotonic() < deadline and coord.poll() is None:
-        if _completed(tcp_dir):
+        rows = _completed(tcp_dir)
+        if rows:
             break
         time.sleep(0.01)
-    completed_at_kill = len(_completed(tcp_dir))
+    completed_at_kill = len(rows)
     killed_mid_run = coord.poll() is None and completed_at_kill < total
-    workers[0].kill()
-    workers[0].wait()
+    victim = next(
+        (w for w in workers if rows and w.pid == rows[0]["worker_pid"]),
+        workers[0],
+    )
+    victim.kill()
+    victim.wait()
     if not killed_mid_run:
         print("warning: sweep finished before the kill landed",
               file=sys.stderr)
 
     # 5. the survivor finishes the sweep; everyone exits clean
     coord_out, coord_err = coord.communicate(timeout=600)
-    survivor_rcs = [w.wait(timeout=120) for w in workers[1:]]
+    survivor_rcs = [w.wait(timeout=120) for w in workers if w is not victim]
 
-    completed = _completed(tcp_dir)
+    completed = [(r["policy"], r["workload"]) for r in _completed(tcp_dir)]
     ref_tree, tcp_tree = _cache_tree(serial_dir), _cache_tree(tcp_dir)
     requeue_seen = "re-queuing" in coord_err
 

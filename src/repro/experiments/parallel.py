@@ -17,12 +17,10 @@ workers over TCP.  Two shared pieces sit on top:
 
 * :func:`run_items`, the **one blocking loop** behind
   :meth:`ExperimentRunner.sweep` on every executor: dedup and cache check,
-  longest-expected-first (LPT) order from the cost model
-  (:mod:`repro.experiments.costmodel`), a bounded in-flight window, the
-  progress line and error mapping;
+  submission in the order the sweep built its items, a bounded in-flight
+  window, the progress line and error mapping;
 * :func:`complete_item`, the **one completion path**, which that loop and
-  the service's dispatcher both call: cache put, cost-model calibration
-  and the timing record.
+  the service's dispatcher both call: cache put and the timing record.
 
 Whether an item needs running at all is the runner's one done-rule,
 :meth:`ExperimentRunner._done_record`, which :func:`is_complete` asks: the
@@ -51,10 +49,10 @@ Worker counts resolve as ``jobs=`` argument > ``REPRO_JOBS`` environment
 variable > default (``os.cpu_count()`` for the benchmark/figure drivers,
 1 for a bare :class:`ExperimentRunner`).
 
-Every completed item also leaves a timing record (predicted vs measured
-seconds, who ran it, queue wait) in ``runner.sweep_log`` and — when the
-runner has a ``cache_dir`` — appended to ``<cache_dir>/sweep_trace.jsonl``,
-so sweep behaviour is observable after the fact.
+Every completed item also leaves a timing record (measured seconds, who
+ran it, queue wait) in ``runner.sweep_log`` and — when the runner has a
+``cache_dir`` — appended to ``<cache_dir>/sweep_trace.jsonl``, so sweep
+behaviour is observable after the fact.
 """
 
 from __future__ import annotations
@@ -72,7 +70,6 @@ from queue import SimpleQueue
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.config import ProcessorConfig
-from repro.experiments import costmodel
 from repro.telemetry import TelemetryConfig
 from repro.trace.categories import WorkloadType, category_profile
 from repro.trace.synthesis import generate_trace
@@ -232,9 +229,8 @@ def run_item(
 ) -> tuple["RunKey", "RunRecord", float, dict[str, Any]]:
     """Run one simulation: the callable every executor is handed.
 
-    Returns ``(key, record, seconds, worker)``.  ``seconds`` feeds the
-    cost model; ``worker`` (``{"worker_pid": pid}``) goes verbatim into
-    the timing record.
+    Returns ``(key, record, seconds, worker)``; ``seconds`` and ``worker``
+    (``{"worker_pid": pid}``) go verbatim into the timing record.
     """
     from pathlib import Path
 
@@ -262,22 +258,12 @@ def run_item(
 
 
 # --------------------------------------------------------------------------- #
-# Parent side: persistent pool, cost model, completion, the dispatch loop     #
+# Parent side: persistent pool, completion, the dispatch loop                 #
 # --------------------------------------------------------------------------- #
 
 _executor: ProcessPoolExecutor | None = None
 _executor_jobs = 0
-_cost_model: costmodel.CostModel | None = None
 _atexit_registered = False
-
-
-def cost_model() -> costmodel.CostModel:
-    """The process-wide cost model, loaded once from
-    :func:`repro.experiments.costmodel.default_path`."""
-    global _cost_model
-    if _cost_model is None:
-        _cost_model = costmodel.CostModel(costmodel.default_path())
-    return _cost_model
 
 
 def get_executor(jobs: int) -> ProcessPoolExecutor:
@@ -301,7 +287,7 @@ def get_executor(jobs: int) -> ProcessPoolExecutor:
 
 
 def shutdown() -> None:
-    """Tear down the local pool and persist the cost model.
+    """Tear down the local pool.
 
     Safe to call repeatedly; also runs at interpreter exit.  The next
     ``run_items`` call simply builds a fresh pool.
@@ -311,8 +297,6 @@ def shutdown() -> None:
         _executor.shutdown(wait=True)
         _executor = None
         _executor_jobs = 0
-    if _cost_model is not None:
-        _cost_model.save()
 
 
 class _Progress:
@@ -377,7 +361,6 @@ def complete_item(
     result: tuple["RunKey", "RunRecord", float, dict[str, Any]],
     *,
     label: str,
-    predicted_s: float,
     submitted: float,
     tag: dict[str, str] | None = None,
 ) -> None:
@@ -386,21 +369,20 @@ def complete_item(
     ``result`` is what :func:`run_item` returned (through any executor),
     ``submitted`` the :func:`time.perf_counter` reading when the item was
     handed to its executor.  Writes the cache entry, counts it in
-    ``sims_run``, calibrates the cost model, and records the timing —
-    predicted vs measured seconds, queue wait, who ran it, plus ``tag`` —
-    in ``runner.sweep_log`` and as one row of ``sweep_trace.jsonl``.
+    ``sims_run``, and records the timing — measured seconds, queue wait,
+    who ran it, plus ``tag`` — in ``runner.sweep_log`` and as one row of
+    ``sweep_trace.jsonl``.  An exception (a failed cache write) propagates
+    before anything is counted or recorded.
     """
     key, rec, seconds, worker = result
     runner._cache_put(key, rec)
     runner.sims_run += 1
-    cost_model().observe(item, seconds)
     timing = {
         "label": label,
         "scale": key.scale,
         "policy": key.policy,
         "workload": key.workload,
         "backend": item.backend or runner.backend,
-        "predicted_s": round(predicted_s, 6),
         "elapsed_s": round(seconds, 6),
         "wait_s": round(max(0.0, time.perf_counter() - submitted - seconds), 6),
         **worker,
@@ -432,13 +414,15 @@ def run_items(
     ``jobs <= 1`` it is a no-op — the caller's serial loop does the
     work — so the serial path never pays pool overhead.
 
-    Dispatch is longest-expected-first.  On the local pool at most
-    ``jobs + 1`` items are in flight, however large the persistent pool
-    is: whenever one finishes, the longest remaining item is submitted,
-    so no worker idles while work is pending.
-    Any other executor (a :class:`~repro.fabric.coordinator.FabricHub`, a
-    thread pool) receives every item up front, in that order, and applies
-    its own backpressure: the hub leases within each worker's window.
+    Items are submitted in the order given, which is the order
+    :func:`sweep_items`/:func:`single_items` build them.  On the local
+    pool at most ``jobs + 1`` items are in flight, however large the
+    persistent pool is (an earlier, larger ``jobs=`` grew it): whenever
+    one finishes, the next is submitted, so no worker idles while work is
+    pending.  Any other executor (a
+    :class:`~repro.fabric.coordinator.FabricHub`, a thread pool) receives
+    every item up front, in that order, and applies its own backpressure:
+    the hub leases within each worker's window.
 
     An item's exception ends the sweep and propagates (a dead local pool
     is reset first and reported as a :class:`RuntimeError`); items that
@@ -465,8 +449,6 @@ def run_items(
 
     tcp = isinstance(executor, FabricHub)
     tag = {"executor": "tcp"} if tcp else {}
-    model = cost_model()
-    estimates, todo = model.lpt_order(todo)
     if executor is None:
         executor = get_executor(jobs)
         window = jobs + 1
@@ -497,8 +479,7 @@ def run_items(
                 continue
             result = fut.result()
             complete_item(
-                runner, item, result, label=label,
-                predicted_s=estimates[id(item)], submitted=submitted, tag=tag,
+                runner, item, result, label=label, submitted=submitted, tag=tag
             )
             executed += 1
             progress.tick(item.key)
@@ -515,7 +496,6 @@ def run_items(
         for fut in inflight:
             fut.cancel()
         progress.close()
-        model.save()
     return executed
 
 

@@ -6,7 +6,7 @@ stdlib :class:`concurrent.futures.Executor` interface.
 ``submit(run_item, item)`` queues a :class:`WorkItem` and returns a future
 of ``(key, record, seconds, worker)``; whichever worker dials in
 (``repro-sim worker --connect``) runs it.  The dispatch loop, the result
-cache, the cost model and progress all stay with the caller
+cache and progress all stay with the caller
 (:func:`repro.experiments.parallel.run_items`): the hub owns only the
 transport.  Workers are stateless — each item carries everything needed
 to rebuild its traces from seeds (hitting the worker's local trace

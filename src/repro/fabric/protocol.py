@@ -91,8 +91,34 @@ def send_msg(
         sock.sendall(frame)
 
 
+def _parse(buf: bytes | bytearray) -> tuple[int, dict[str, Any] | None]:
+    """The one frame parser, for a buffer that starts at a frame boundary.
+
+    Returns ``(end, message)``.  Until ``buf`` holds the whole frame,
+    ``message`` is None and ``end`` is how many bytes it needs so far (the
+    header, then header plus body); after that ``end`` is where the frame
+    ends.  Raises :class:`ProtocolError` on an oversized length, a body
+    that is not JSON, or a message without a ``type``.
+    """
+    if len(buf) < _HEADER.size:
+        return _HEADER.size, None
+    (length,) = _HEADER.unpack_from(buf)
+    if length > MAX_FRAME:
+        raise ProtocolError(f"frame of {length} bytes exceeds {MAX_FRAME}")
+    end = _HEADER.size + length
+    if len(buf) < end:
+        return end, None
+    try:
+        msg = json.loads(buf[_HEADER.size:end])
+    except ValueError as exc:
+        raise ProtocolError(f"frame body is not JSON: {exc}") from None
+    if not isinstance(msg, dict) or "type" not in msg:
+        raise ProtocolError("frame is not a typed message object")
+    return end, msg
+
+
 def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
-    """Exactly ``n`` bytes, or None on a clean EOF at a frame boundary."""
+    """Exactly ``n`` bytes, or None on a clean EOF before the first byte."""
     chunks: list[bytes] = []
     got = 0
     while got < n:
@@ -108,22 +134,17 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
 
 def recv_msg(sock: socket.socket) -> dict[str, Any] | None:
     """Blocking receive of one frame; None when the peer closed cleanly."""
-    header = _recv_exact(sock, _HEADER.size)
-    if header is None:
-        return None
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_FRAME:
-        raise ProtocolError(f"frame of {length} bytes exceeds {MAX_FRAME}")
-    body = _recv_exact(sock, length)
-    if body is None:
-        raise ProtocolError("connection closed between header and body")
-    try:
-        msg = json.loads(body)
-    except ValueError as exc:
-        raise ProtocolError(f"frame body is not JSON: {exc}") from None
-    if not isinstance(msg, dict) or "type" not in msg:
-        raise ProtocolError("frame is not a typed message object")
-    return msg
+    buf = b""
+    while True:
+        end, msg = _parse(buf)
+        if msg is not None:
+            return msg
+        chunk = _recv_exact(sock, end - len(buf))
+        if chunk is None:
+            if buf:
+                raise ProtocolError("connection closed between header and body")
+            return None
+        buf += chunk
 
 
 class FrameDecoder:
@@ -142,24 +163,10 @@ class FrameDecoder:
         self._buf.extend(data)
         out: list[dict[str, Any]] = []
         while True:
-            if len(self._buf) < _HEADER.size:
+            end, msg = _parse(self._buf)
+            if msg is None:
                 return out
-            (length,) = _HEADER.unpack(self._buf[: _HEADER.size])
-            if length > MAX_FRAME:
-                raise ProtocolError(
-                    f"frame of {length} bytes exceeds {MAX_FRAME}"
-                )
-            end = _HEADER.size + length
-            if len(self._buf) < end:
-                return out
-            body = bytes(self._buf[_HEADER.size:end])
             del self._buf[:end]
-            try:
-                msg = json.loads(body)
-            except ValueError as exc:
-                raise ProtocolError(f"frame body is not JSON: {exc}") from None
-            if not isinstance(msg, dict) or "type" not in msg:
-                raise ProtocolError("frame is not a typed message object")
             out.append(msg)
 
 

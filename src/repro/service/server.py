@@ -102,7 +102,7 @@ class ServiceSettings:
 class _ItemExec:
     """One in-flight simulation and every job waiting on it."""
 
-    __slots__ = ("key", "item", "tenant", "runner", "jobs", "estimate", "t0")
+    __slots__ = ("key", "item", "tenant", "runner", "jobs", "t0")
 
     def __init__(
         self,
@@ -111,14 +111,12 @@ class _ItemExec:
         tenant: TenantState,
         runner: ExperimentRunner,
         job: Job,
-        estimate: float,
     ) -> None:
         self.key = key
         self.item = item
         self.tenant = tenant
         self.runner = runner
         self.jobs = [job]  # owner first; coalesced jobs appended
-        self.estimate = estimate
         self.t0 = time.perf_counter()
 
 
@@ -326,8 +324,7 @@ class Service:
             return
         self._free -= 1
         self.scheduler.on_dispatch(tenant)
-        estimate = parallel.cost_model().estimate(item)
-        exec_ = _ItemExec(key, item, tenant, runner, job, estimate)
+        exec_ = _ItemExec(key, item, tenant, runner, job)
         self._inflight[key] = exec_
         future = asyncio.wrap_future(
             self._sim_pool().submit(parallel.run_item, item)
@@ -364,23 +361,23 @@ class Service:
         else:
             exc = future.exception()
         if exc is not None:
-            self.scheduler.on_complete(exec_.tenant, 0.0)
             if isinstance(exc, BrokenProcessPool):
                 # reset the shared pool so the next launch gets a fresh one
                 try:
                     parallel.shutdown()
                 except Exception:  # noqa: BLE001 - teardown is best-effort
                     pass
-            for job in dict.fromkeys(exec_.jobs):
-                self._fail_job(job, f"simulation failed: {exc}")
-            self._wakeup()
+            self._fail_item(exec_, f"simulation failed: {exc}")
             return
         result = future.result()
-        parallel.complete_item(
-            exec_.runner, exec_.item, result,
-            label=f"service:{exec_.jobs[0].id}",
-            predicted_s=exec_.estimate, submitted=exec_.t0,
-        )
+        try:
+            parallel.complete_item(
+                exec_.runner, exec_.item, result,
+                label=f"service:{exec_.jobs[0].id}", submitted=exec_.t0,
+            )
+        except Exception as err:  # noqa: BLE001 - e.g. a full disk
+            self._fail_item(exec_, f"storing the result failed: {err}")
+            return
         key, _record, seconds, _worker = result
         self.scheduler.on_complete(exec_.tenant, seconds)
         self.stats["executed_items"] += 1
@@ -395,6 +392,13 @@ class Service:
                 elapsed=seconds,
             )
             self._maybe_finish(job)
+        self._wakeup()
+
+    def _fail_item(self, exec_: _ItemExec, error: str) -> None:
+        """(loop thread) fail every job waiting on ``exec_``."""
+        self.scheduler.on_complete(exec_.tenant, 0.0)
+        for job in dict.fromkeys(exec_.jobs):
+            self._fail_job(job, error)
         self._wakeup()
 
     # -- job completion -------------------------------------------------------

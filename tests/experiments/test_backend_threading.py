@@ -3,8 +3,8 @@
 The cycle engine is chosen once per :class:`ExperimentRunner` (argument >
 ``REPRO_BACKEND`` > default) and travels with every
 :class:`~repro.experiments.parallel.WorkItem`, so a sweep's worker
-processes always run the engine the parent resolved — and the cost model
-and scheduling records know which engine produced each timing.  Because
+processes always run the engine the parent resolved — and the scheduling
+records know which engine produced each timing.  Because
 backends are bit-identical by contract, cache identity (RunKey) does not
 include the backend; the byte-diff test at the bottom pins that contract
 at the sweep level, on the actual cache files a figure would consume.
@@ -13,12 +13,11 @@ at the sweep level, on the actual cache files a figure would consume.
 from __future__ import annotations
 
 import dataclasses
-import json
 
 import pytest
 
 from repro.core.backends import DEFAULT_BACKEND
-from repro.experiments import costmodel, parallel
+from repro.experiments import parallel
 from repro.experiments.runner import SCALES, ExperimentRunner, figure2_config
 from repro.trace.workloads import build_pool
 
@@ -70,64 +69,6 @@ def test_work_items_carry_the_runner_backend():
     )
     assert items
     assert all(item.backend == "reference" for item in items)
-
-
-# -- cost model -------------------------------------------------------------
-
-
-def test_cost_model_buckets_split_by_backend():
-    model = costmodel.CostModel()
-    # prior: the vectorized engine is faster than the reference
-    assert model.rate("icount", "mem", "vectorized") < model.rate(
-        "icount", "mem", "reference"
-    )
-    # observations calibrate one engine's bucket without touching the other
-    runner = _mini_runner(backend="vectorized")
-    item = parallel.sweep_items(
-        runner, figure2_config(32), ["icount"], list(runner.pool)
-    )[0]
-    ref_before = model.rate("icount", item.workload.wtype, "reference")
-    vec_before = model.rate("icount", item.workload.wtype, "vectorized")
-    for _ in range(8):
-        model.observe(item, 123.0)
-    assert model.rate("icount", item.workload.wtype, "vectorized") > (
-        vec_before * 100
-    )
-    assert model.rate(
-        "icount", item.workload.wtype, "reference"
-    ) == pytest.approx(ref_before)
-
-
-def test_cost_model_loads_version_1_file_cold(tmp_path):
-    """A version-1 file (buckets keyed by fast-forward too) loads cold,
-    and the next save overwrites it in the current format."""
-    path = tmp_path / "cm.json"
-    path.write_text(
-        json.dumps(
-            {
-                "version": 1,
-                "rates": {
-                    "icount|ilp|vectorized|ff": {"rate": 0.5, "n": 9},
-                    "icount|ilp|ff": {"rate": 0.5, "n": 9},
-                },
-            }
-        )
-    )
-    model = costmodel.CostModel(path)
-    prior = costmodel.CostModel()
-    for backend in ("reference", "vectorized"):
-        assert model.rate("icount", "ilp", backend) == prior.rate(
-            "icount", "ilp", backend
-        )
-    runner = _mini_runner(backend="vectorized")
-    item = parallel.sweep_items(
-        runner, figure2_config(32), ["icount"], list(runner.pool)
-    )[0]
-    model.observe(item, 1.0)
-    assert model.save()
-    data = json.loads(path.read_text())
-    assert data["version"] == costmodel.VERSION
-    assert list(data["rates"]) == [f"icount|{item.workload.wtype}|vectorized"]
 
 
 # -- sweep-level bit-identity (the contract that keeps RunKey backend-free) --

@@ -31,7 +31,7 @@ POLICIES = ["icount", "cssp"]
 
 TIMING_FIELDS = {
     "label", "scale", "policy", "workload", "backend",
-    "predicted_s", "elapsed_s", "wait_s", "worker_pid",
+    "elapsed_s", "wait_s", "worker_pid",
 }
 
 

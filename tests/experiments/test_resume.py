@@ -80,8 +80,7 @@ def test_kill_and_resume_smoke(tmp_path):
         capture_output=True, text=True, timeout=300,
         env={**__import__("os").environ,
              "PYTHONPATH": str(repo / "src"),
-             "REPRO_TRACE_CACHE": str(tmp_path / "traces"),
-             "REPRO_COST_MODEL": str(tmp_path / "cm.json")},
+             "REPRO_TRACE_CACHE": str(tmp_path / "traces")},
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     summary = json.loads(proc.stdout.splitlines()[-1])

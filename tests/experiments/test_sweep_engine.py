@@ -1,9 +1,9 @@
-"""Sweep execution engine: pool lifecycle, cost model, progress.
+"""Sweep execution engine: pool lifecycle, dispatch order, progress.
 
 ``test_parallel.py`` pins the correctness contract (parallel == serial,
 bit for bit); this file pins the *engine* around it — the persistent
-executor, workers that synthesize their own traces, the cost-model
-calibration that drives LPT dispatch, and the hit/ran/total progress
+executor, workers that synthesize their own traces, the order and window
+in which the loop submits items, and the hit/ran/total progress
 reporting.
 """
 
@@ -14,13 +14,19 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import Executor, Future
 from pathlib import Path
 
 import pytest
 
-from repro.experiments import costmodel, parallel
-from repro.experiments.parallel import WorkItem, _Progress, resolve_jobs
-from repro.experiments.runner import ExperimentRunner, RunKey, figure2_config
+from repro.experiments import parallel
+from repro.experiments.parallel import _Progress, resolve_jobs
+from repro.experiments.runner import (
+    ExperimentRunner,
+    RunKey,
+    RunRecord,
+    figure2_config,
+)
 from repro.trace.workloads import build_pool
 
 POOL_KW = dict(
@@ -70,83 +76,6 @@ def test_resolve_jobs_whitespace_env_ignored(monkeypatch):
     assert resolve_jobs(None, default=1) == 1
 
 
-# -- cost model -------------------------------------------------------------
-
-
-def _item(pool, policy="icount", wl_idx=0, key_suffix=""):
-    wl = pool.workloads[wl_idx]
-    spec = parallel.WorkloadSpec.of(wl)
-    assert spec is not None
-    return WorkItem(
-        key=RunKey("smoke", "cfg" + key_suffix, policy, wl.name, "first_done"),
-        scale=None,  # never dispatched in these tests
-        config=None,
-        policy=policy,
-        stop="first_done",
-        workload=spec,
-    )
-
-
-def test_cost_model_prior_ordering(pool):
-    model = costmodel.CostModel()
-    # MEM-bound runs are slower than ILP; adaptive policies slower than
-    # static ones
-    assert model.rate("icount", "mem") > model.rate("icount", "ilp")
-    assert model.rate("cdprf", "ilp") > model.rate("icount", "ilp")
-    # estimates scale with trace size through item features
-    mem_item = _item(pool, wl_idx=next(
-        i for i, w in enumerate(pool.workloads) if w.wtype.value == "mem"
-    ))
-    ilp_item = _item(pool, wl_idx=next(
-        i for i, w in enumerate(pool.workloads) if w.wtype.value == "ilp"
-    ))
-    assert model.estimate(mem_item) > model.estimate(ilp_item)
-
-
-def test_cost_model_observe_and_persist(pool, tmp_path):
-    path = tmp_path / "cm.json"
-    model = costmodel.CostModel(path)
-    item = _item(pool)
-    prior = model.estimate(item)
-    # feed consistent observations 3x the prior: EWMA should move the
-    # estimate decisively toward the observed runtime
-    for _ in range(8):
-        model.observe(item, prior * 3)
-    assert model.estimate(item) > prior * 2
-    assert model.save() is True
-    assert model.save() is False  # clean: no rewrite
-
-    reloaded = costmodel.CostModel(path)
-    assert reloaded.estimate(item) == pytest.approx(model.estimate(item))
-
-
-def test_cost_model_corrupt_file_starts_cold(pool, tmp_path):
-    path = tmp_path / "cm.json"
-    path.write_text("{not json")
-    model = costmodel.CostModel(path)
-    item = _item(pool)
-    assert model.estimate(item) > 0  # falls back to priors
-    model.observe(item, 0.5)
-    assert model.save() is True
-    json.loads(path.read_text())  # overwritten with valid calibration
-
-
-def test_cost_model_env_disable(monkeypatch):
-    monkeypatch.setenv("REPRO_COST_MODEL", "0")
-    assert costmodel.default_path() is None
-    model = costmodel.CostModel(costmodel.default_path())
-    assert model.save() is False
-
-
-def test_cost_model_defaults_to_the_user_cache(monkeypatch, tmp_path):
-    """Calibration persists under the user's cache, never inside the
-    checkout, where every parallel sweep would rewrite a tracked file."""
-    monkeypatch.delenv("REPRO_COST_MODEL", raising=False)
-    monkeypatch.setenv("HOME", str(tmp_path))
-    path = costmodel.default_path()
-    assert path == tmp_path / ".cache" / "repro" / "cost_model.json"
-
-
 # -- progress reporting -----------------------------------------------------
 
 
@@ -183,7 +112,6 @@ def test_executor_persists_across_sweeps(pool, tmp_path):
         assert rec["label"] in ("first", "second")
         assert rec["worker_pid"] > 0
         assert rec["elapsed_s"] > 0
-        assert rec["predicted_s"] > 0
     # scheduling records are also persisted next to the cache
     trace_file = tmp_path / "sweep_trace.jsonl"
     lines = [json.loads(x) for x in trace_file.read_text().splitlines()]
@@ -215,6 +143,51 @@ def test_fully_cached_sweep_skips_pool(pool, tmp_path):
     assert parallel._executor is None  # run_items returned before get_executor
 
 
+# -- dispatch order ---------------------------------------------------------
+
+
+_RECORD = RunRecord(0.0, 0, 0, (0, 0), 0.0, 0.0, {}, 0, {})
+
+
+class _RecordingExecutor(Executor):
+    """Resolves each submission at once, without simulating, and records
+    the key and how many submitted items the loop has not yet completed."""
+
+    def __init__(self, runner):
+        self.runner = runner
+        self.keys = []
+        self.in_flight = []
+
+    def submit(self, fn, item):
+        self.keys.append(item.key)
+        self.in_flight.append(len(self.keys) - self.runner.sims_run)
+        fut = Future()
+        fut.set_result((item.key, _RECORD, 0.0, {"worker_pid": 0}))
+        return fut
+
+
+def test_items_are_submitted_in_the_order_given(pool, monkeypatch):
+    """Cache misses go out in the order the sweep built them, and the local
+    pool never holds more than ``jobs + 1`` however large it has grown."""
+    runner = ExperimentRunner("smoke", pool=pool)
+    items = parallel.sweep_items(
+        runner, figure2_config(32), ["icount", "cssp", "stall"], list(pool)
+    )
+    runner._cache_put(items[2].key, _RECORD)
+    misses = [item.key for item in items if item is not items[2]]
+
+    recorder = _RecordingExecutor(runner)
+    monkeypatch.setattr(parallel, "get_executor", lambda jobs: recorder)
+    assert parallel.run_items(runner, items + items[:1], jobs=2) == 5
+    assert recorder.keys == misses
+    assert max(recorder.in_flight) == 3
+
+    other = _RecordingExecutor(ExperimentRunner("smoke", pool=pool))
+    parallel.run_items(other.runner, items, other)
+    assert other.keys == [item.key for item in items]
+    assert max(other.in_flight) == len(items)
+
+
 # -- workers without a trace cache -----------------------------------------
 
 
@@ -238,8 +211,9 @@ def test_sweep_without_shm_matches_serial(pool, monkeypatch):
 
 
 def test_clean_shutdown_at_interpreter_exit(tmp_path):
-    """A process that sweeps on the pool and just exits leaks nothing:
-    no shared-memory warnings, no orphan /dev/shm segments."""
+    """A process that sweeps on the pool and just exits through the atexit
+    hook leaves nothing behind: no tracebacks, no resource warnings, and
+    no file in its ``HOME``."""
     code = """
 import repro.experiments.parallel as parallel
 from repro.experiments.runner import ExperimentRunner, figure2_config
@@ -255,7 +229,9 @@ print("RAN", runner.sims_run)
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
     env["REPRO_TRACE_CACHE"] = str(tmp_path / "traces")
-    env["REPRO_COST_MODEL"] = str(tmp_path / "cm.json")
+    home = tmp_path / "home"
+    home.mkdir()
+    env["HOME"] = str(home)
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, timeout=120, env=env,
@@ -264,6 +240,4 @@ print("RAN", runner.sims_run)
     assert "RAN 2" in proc.stdout
     assert "leaked" not in proc.stderr  # resource_tracker leak warnings
     assert "Traceback" not in proc.stderr
-    shm_dir = Path("/dev/shm")
-    if shm_dir.is_dir():
-        assert not list(shm_dir.glob("repro_*"))
+    assert not list(home.rglob("*"))

@@ -8,6 +8,7 @@ would land under a different key than a local one.
 
 from __future__ import annotations
 
+import re
 import socket
 
 import pytest
@@ -57,19 +58,41 @@ def test_feed_handles_arbitrary_byte_splits():
         assert out == msgs, f"chunk size {chunk}"
 
 
+def _feed(data: bytes):
+    return protocol.FrameDecoder().feed(data)
+
+
+def _recv(data: bytes):
+    """``recv_msg`` reading ``data`` from a socketpair whose writer closed."""
+    a, b = socket.socketpair()
+    try:
+        a.sendall(data)
+        a.close()
+        return protocol.recv_msg(b)
+    finally:
+        b.close()
+
+
+def _rejects(data: bytes, match: str) -> None:
+    """Both entry points of the one frame parser — the coordinator's
+    incremental decoder and the worker's blocking read — raise a
+    :class:`ProtocolError` matching ``match`` on ``data``."""
+    for name, decode in (("feed", _feed), ("recv_msg", _recv)):
+        try:
+            decode(data)
+        except protocol.ProtocolError as exc:
+            assert re.search(match, str(exc)), (name, exc)
+        else:
+            pytest.fail(f"{name} accepted {data!r}")
+
+
 def test_feed_rejects_garbage_and_untyped_frames():
-    decoder = protocol.FrameDecoder()
-    with pytest.raises(protocol.ProtocolError):
-        decoder.feed(protocol._HEADER.pack(5) + b"{!!!}")
-    decoder = protocol.FrameDecoder()
-    with pytest.raises(protocol.ProtocolError):
-        decoder.feed(protocol._HEADER.pack(2) + b"[]")
+    _rejects(protocol._HEADER.pack(5) + b"{!!!}", "not JSON")
+    _rejects(protocol._HEADER.pack(2) + b"[]", "typed")
 
 
 def test_feed_rejects_oversized_frame_header():
-    decoder = protocol.FrameDecoder()
-    with pytest.raises(protocol.ProtocolError):
-        decoder.feed(protocol._HEADER.pack(protocol.MAX_FRAME + 1))
+    _rejects(protocol._HEADER.pack(protocol.MAX_FRAME + 1), "exceeds")
 
 
 def test_blocking_send_recv_over_socketpair():

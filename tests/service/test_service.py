@@ -9,7 +9,9 @@ asserts exactly that.
 """
 
 import dataclasses
+import errno
 import json
+import os
 
 import pytest
 
@@ -266,3 +268,50 @@ def test_cancel_stops_unlaunched_work(tmp_path):
             timeout=600,
         )
         assert done["state"] == "done"
+
+
+# -- failure paths -----------------------------------------------------------
+
+
+def test_failed_result_write_fails_the_job_and_frees_its_slot(
+    tmp_path, monkeypatch
+):
+    """A cache write that raises (a full disk) fails every job waiting on
+    the item and gives its tenant's slot back; the server stays healthy."""
+    real_put = ExperimentRunner._cache_put
+
+    def put(runner, key, rec):
+        # only the service's runner writes to disk; the worker's in-memory
+        # put (thread executor, same process) must still succeed
+        if runner.cache_dir is not None:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        real_put(runner, key, rec)
+
+    monkeypatch.setattr(ExperimentRunner, "_cache_put", put)
+    settings = ServiceSettings(
+        port=0, cache_dir=tmp_path, slots=1, executor="thread",
+        default_scale="smoke", rate=None,
+    )
+    body = {
+        "scale": "smoke",
+        "policy": "icount",
+        "category": "ISPEC00",
+        "index": 0,
+        "iq_entries": 44,
+        "unbounded_regs": True,
+        "unbounded_rob": True,
+    }
+    with BackgroundService(settings) as bg:
+        c = ServiceClient(port=bg.port, tenant="full-disk")
+        job = c.submit_run(body)
+        with pytest.raises(ServiceError, match="No space left on device"):
+            c.wait(job["id"], timeout=60)
+        doc = c.job(job["id"])
+        assert doc["state"] == "failed"
+        assert "storing the result failed" in doc["error"]
+        assert c.stats()["scheduler"]["in_use"] == 0
+
+        monkeypatch.undo()
+        done = c.wait(c.submit_run(body)["id"], timeout=600)
+        assert done["state"] == "done"
+        assert done["executed"] == 1
