@@ -17,28 +17,24 @@ from repro.policies import make_policy
 INTERVALS = (256, 1024, 4096, 16384)
 
 
-def bench_ablation_cdprf_interval(benchmark, runner, results_dir, capsys):
+def bench_ablation_cdprf_interval(runner, results_dir, capsys):
     cfg = figure6_config(64)
     workloads = runner.ispec_fspec_pool(2).workloads
 
-    def sweep():
-        out = {}
-        for interval in INTERVALS:
-            ipcs = []
-            for wl in workloads:
-                res = run_workload(
-                    cfg,
-                    make_policy("cdprf", interval=interval),
-                    wl,
-                    warmup_uops=runner.scale.warmup_uops,
-                    prewarm_caches=True,
-                    max_cycles=runner.scale.max_cycles,
-                )
-                ipcs.append(res.ipc)
-            out[interval] = mean(ipcs)
-        return out
-
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    results = {}
+    for interval in INTERVALS:
+        ipcs = []
+        for wl in workloads:
+            res = run_workload(
+                cfg,
+                make_policy("cdprf", interval=interval),
+                wl,
+                warmup_uops=runner.scale.warmup_uops,
+                prewarm_caches=True,
+                max_cycles=runner.scale.max_cycles,
+            )
+            ipcs.append(res.ipc)
+        results[interval] = mean(ipcs)
 
     rows = {
         f"{interval}": {"mean IPC": ipc, "vs best": ipc / max(results.values())}

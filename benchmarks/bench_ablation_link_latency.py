@@ -19,42 +19,38 @@ from repro.metrics.throughput import mean
 LATENCIES = (1, 2, 4, 8)
 
 
-def bench_ablation_link_latency(benchmark, runner, results_dir, capsys):
+def bench_ablation_link_latency(runner, results_dir, capsys):
     workloads = [
         runner.pool.by_category(cat)[0] for cat in ("FSPEC00", "ISPEC00", "mixes")
     ]
 
-    def sweep():
-        mt = {}
-        st = {}
-        for lat in LATENCIES:
-            cfg = dataclasses.replace(figure2_config(32), link_latency=lat)
-            mt[lat] = mean(
-                [
-                    run_workload(
-                        cfg, "cssp", wl,
-                        warmup_uops=runner.scale.warmup_uops,
-                        prewarm_caches=True,
-                        max_cycles=runner.scale.max_cycles,
-                    ).ipc
-                    for wl in workloads
-                ]
-            )
-            st[lat] = mean(
-                [
-                    run_simulation(
-                        cfg.with_threads(1), "icount", [wl.traces[0]],
-                        warmup_uops=runner.scale.warmup_uops // 2,
-                        prewarm_caches=True,
-                        max_cycles=runner.scale.max_cycles,
-                        stop="all_done",
-                    ).ipc
-                    for wl in workloads
-                ]
-            )
-        return mt, st
-
-    mt, st = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    mt = {}
+    st = {}
+    for lat in LATENCIES:
+        cfg = dataclasses.replace(figure2_config(32), link_latency=lat)
+        mt[lat] = mean(
+            [
+                run_workload(
+                    cfg, "cssp", wl,
+                    warmup_uops=runner.scale.warmup_uops,
+                    prewarm_caches=True,
+                    max_cycles=runner.scale.max_cycles,
+                ).ipc
+                for wl in workloads
+            ]
+        )
+        st[lat] = mean(
+            [
+                run_simulation(
+                    cfg.with_threads(1), "icount", [wl.traces[0]],
+                    warmup_uops=runner.scale.warmup_uops // 2,
+                    prewarm_caches=True,
+                    max_cycles=runner.scale.max_cycles,
+                    stop="all_done",
+                ).ipc
+                for wl in workloads
+            ]
+        )
 
     rows = {
         f"{lat} cycles": {

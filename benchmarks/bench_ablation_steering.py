@@ -23,33 +23,29 @@ _STEERINGS = {
 }
 
 
-def bench_ablation_steering(benchmark, runner, results_dir, capsys):
+def bench_ablation_steering(runner, results_dir, capsys):
     cfg = figure2_config(32)
     workloads = [
         runner.pool.by_category(cat)[0]
         for cat in ("ISPEC00", "FSPEC00", "server", "mixes")
     ]
 
-    def sweep():
-        out = {}
-        for name, factory in _STEERINGS.items():
-            for wl in workloads:
-                res = run_workload(
-                    cfg,
-                    "cssp",
-                    wl,
-                    steering=factory(cfg),
-                    warmup_uops=runner.scale.warmup_uops,
-                    prewarm_caches=True,
-                    max_cycles=runner.scale.max_cycles,
-                )
-                out[(name, wl.category)] = (
-                    res.ipc,
-                    res.stats["copies_per_committed"],
-                )
-        return out
-
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    results = {}
+    for name, factory in _STEERINGS.items():
+        for wl in workloads:
+            res = run_workload(
+                cfg,
+                "cssp",
+                wl,
+                steering=factory(cfg),
+                warmup_uops=runner.scale.warmup_uops,
+                prewarm_caches=True,
+                max_cycles=runner.scale.max_cycles,
+            )
+            results[(name, wl.category)] = (
+                res.ipc,
+                res.stats["copies_per_committed"],
+            )
 
     rows = {}
     for name in _STEERINGS:

@@ -29,14 +29,11 @@ def _sweep(runner, config):
     return out
 
 
-def bench_ablation_wrong_path(benchmark, runner, results_dir, capsys):
+def bench_ablation_wrong_path(runner, results_dir, capsys):
     cfg_on = figure2_config(32)
     cfg_off = dataclasses.replace(cfg_on, model_wrong_path=False)
-
-    def run_both():
-        return _sweep(runner, cfg_on), _sweep(runner, cfg_off)
-
-    with_wp, without_wp = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    with_wp = _sweep(runner, cfg_on)
+    without_wp = _sweep(runner, cfg_off)
 
     rows = {}
     for cat in CATEGORIES:

@@ -23,7 +23,7 @@ from repro.trace.synthesis import generate_trace
 SCHEMES = ("icount", "cssp", "pc")
 
 
-def bench_extension_indirect(benchmark, runner, results_dir, capsys):
+def bench_extension_indirect(runner, results_dir, capsys):
     cfg = figure2_config(32)
     n_uops = runner.scale.n_uops
     base_mem = category_profile("server", "mem")
@@ -34,29 +34,25 @@ def bench_extension_indirect(benchmark, runner, results_dir, capsys):
             prof, name=prof.name + "-ind", frac_indirect=0.5, frac_complex=0.03
         )
 
-    def sweep():
-        out = {}
-        for label, mem_prof, ilp_prof in (
-            ("plain", base_mem, base_ilp),
-            ("indirect", _indirectify(base_mem), _indirectify(base_ilp)),
-        ):
-            traces = [
-                generate_trace(mem_prof, seed=31, n_uops=n_uops, kind="mem"),
-                generate_trace(ilp_prof, seed=37, n_uops=n_uops, kind="ilp"),
-            ]
-            for pol in SCHEMES:
-                # no warmup window here: the whole run counts so the
-                # (sparse) indirect branches give the accuracy statistic a
-                # usable sample even at small scales
-                res = run_simulation(
-                    cfg, pol, traces,
-                    prewarm_caches=True,
-                    max_cycles=runner.scale.max_cycles,
-                )
-                out[(label, pol)] = res
-        return out
-
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    results = {}
+    for label, mem_prof, ilp_prof in (
+        ("plain", base_mem, base_ilp),
+        ("indirect", _indirectify(base_mem), _indirectify(base_ilp)),
+    ):
+        traces = [
+            generate_trace(mem_prof, seed=31, n_uops=n_uops, kind="mem"),
+            generate_trace(ilp_prof, seed=37, n_uops=n_uops, kind="ilp"),
+        ]
+        for pol in SCHEMES:
+            # no warmup window here: the whole run counts so the
+            # (sparse) indirect branches give the accuracy statistic a
+            # usable sample even at small scales
+            res = run_simulation(
+                cfg, pol, traces,
+                prewarm_caches=True,
+                max_cycles=runner.scale.max_cycles,
+            )
+            results[(label, pol)] = res
 
     rows = {}
     for label in ("plain", "indirect"):

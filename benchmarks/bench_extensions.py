@@ -17,13 +17,9 @@ from repro.metrics.throughput import mean
 SCHEMES = ("icount", "cssp", "cdprf", "dcra", "hillclimb")
 
 
-def bench_extensions(benchmark, runner, results_dir, capsys):
+def bench_extensions(runner, results_dir, capsys):
     cfg = figure6_config(64)
-
-    def sweep():
-        return {pol: runner.sweep(cfg, [pol]) for pol in SCHEMES}
-
-    all_runs = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    all_runs = {pol: runner.sweep(cfg, [pol]) for pol in SCHEMES}
 
     base = all_runs["icount"]
     rows: dict[str, dict[str, float]] = {}

@@ -14,10 +14,8 @@ Paper shape asserted:
 from repro.experiments import figure10_fairness
 
 
-def bench_figure10(benchmark, runner, emit):
-    fig = benchmark.pedantic(
-        figure10_fairness, args=(runner,), rounds=1, iterations=1
-    )
+def bench_figure10(runner, emit):
+    fig = figure10_fairness(runner)
     emit(fig, "figure10_fairness")
 
     avg = fig.rows["Average"]

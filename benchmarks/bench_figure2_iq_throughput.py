@@ -11,10 +11,8 @@ Paper shape asserted:
 from repro.experiments import figure2_iq_throughput
 
 
-def bench_figure2(benchmark, runner, emit):
-    fig = benchmark.pedantic(
-        figure2_iq_throughput, args=(runner,), rounds=1, iterations=1
-    )
+def bench_figure2(runner, emit):
+    fig = figure2_iq_throughput(runner)
     emit(fig, "figure2_iq_throughput")
 
     avg = fig.rows["AVG"]

@@ -11,8 +11,8 @@ Paper shape asserted:
 from repro.experiments import figure3_copies
 
 
-def bench_figure3(benchmark, runner, emit):
-    fig = benchmark.pedantic(figure3_copies, args=(runner,), rounds=1, iterations=1)
+def bench_figure3(runner, emit):
+    fig = figure3_copies(runner)
     emit(fig, "figure3_copies")
 
     avg = fig.rows["AVG"]

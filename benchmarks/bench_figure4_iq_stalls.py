@@ -12,8 +12,8 @@ Paper shape asserted:
 from repro.experiments import figure4_iq_stalls
 
 
-def bench_figure4(benchmark, runner, emit):
-    fig = benchmark.pedantic(figure4_iq_stalls, args=(runner,), rounds=1, iterations=1)
+def bench_figure4(runner, emit):
+    fig = figure4_iq_stalls(runner)
     emit(fig, "figure4_iq_stalls")
 
     avg = fig.rows["AVG"]

@@ -17,8 +17,8 @@ import pytest
 from repro.experiments import figure5_imbalance
 
 
-def bench_figure5(benchmark, runner, emit):
-    fig = benchmark.pedantic(figure5_imbalance, args=(runner,), rounds=1, iterations=1)
+def bench_figure5(runner, emit):
+    fig = figure5_imbalance(runner)
     emit(fig, "figure5_imbalance")
 
     for name, cells in fig.rows.items():

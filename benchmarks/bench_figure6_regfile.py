@@ -13,8 +13,8 @@ Paper shape asserted:
 from repro.experiments import figure6_regfile
 
 
-def bench_figure6(benchmark, runner, emit):
-    fig = benchmark.pedantic(figure6_regfile, args=(runner,), rounds=1, iterations=1)
+def bench_figure6(runner, emit):
+    fig = figure6_regfile(runner)
     emit(fig, "figure6_regfile")
 
     avg = fig.rows["AVG"]

@@ -15,10 +15,8 @@ Paper shape asserted:
 from repro.experiments import figure9_cdprf
 
 
-def bench_figure9(benchmark, runner, emit):
-    fig = benchmark.pedantic(
-        figure9_cdprf, args=(runner,), kwargs={"per_type": 4}, rounds=1, iterations=1
-    )
+def bench_figure9(runner, emit):
+    fig = figure9_cdprf(runner, per_type=4)
     emit(fig, "figure9_cdprf_ispec_fspec")
 
     avg = fig.rows["AVG"]

@@ -10,8 +10,8 @@ regress.
 from repro.experiments import headline_numbers
 
 
-def bench_headline(benchmark, runner, emit):
-    fig = benchmark.pedantic(headline_numbers, args=(runner,), rounds=1, iterations=1)
+def bench_headline(runner, emit):
+    fig = headline_numbers(runner)
     emit(fig, "headline")
 
     thr = fig.rows["throughput speedup vs icount"]

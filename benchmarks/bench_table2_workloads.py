@@ -3,8 +3,8 @@
 from repro.experiments import table2_workloads
 
 
-def bench_table2_pool(benchmark, runner, emit):
-    fig = benchmark.pedantic(table2_workloads, args=(runner,), rounds=1, iterations=1)
+def bench_table2_pool(runner, emit):
+    fig = table2_workloads(runner)
     emit(fig, "table2_workloads")
     assert fig.rows["total"]["MIX"] >= 1
     # every non-mixes category contributes all three workload types

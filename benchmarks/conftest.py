@@ -1,15 +1,19 @@
-"""Benchmark harness fixtures.
+"""Fixtures of the figure suite (``pytest benchmarks/``).
 
 One :class:`~repro.experiments.runner.ExperimentRunner` is shared by every
 benchmark in the session, with a persistent disk cache under
 ``benchmarks/.cache`` — figures that share runs (2/3/4/5; 6/9/10/headline)
 are measured from the same simulations, and re-running the suite is cheap.
 
-Scale defaults to ``quick``; set ``REPRO_SCALE=smoke`` for a fast pass or
-``REPRO_SCALE=full`` for the paper-sized pool.  Sweeps fan out over all
-cores by default (``REPRO_JOBS=N`` to override — see
-:mod:`repro.experiments.parallel`).  Each benchmark prints its reproduced
-table and writes a machine-readable JSON under ``benchmarks/results/``.
+Each benchmark prints its reproduced table, asserts the paper's shape and
+writes a machine-readable JSON under ``benchmarks/results/``.  The
+committed JSON is the suite's output at the default ``quick`` scale, from
+an empty result cache; CI reruns it and fails on any difference.
+``REPRO_SCALE`` selects another scale, but it overwrites the same files
+(``git checkout benchmarks/results`` restores them) and the shape asserts
+are calibrated on the ``quick`` pool.  Sweeps fan out over all cores by
+default (``REPRO_JOBS=N`` to override — see
+:mod:`repro.experiments.parallel`).
 """
 
 from __future__ import annotations

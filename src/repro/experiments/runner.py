@@ -68,8 +68,8 @@ class Scale:
         return self.max_cycles_factor * self.n_uops
 
 
-#: Predefined scales.  ``quick`` regenerates every figure in ~15 minutes on
-#: one core; ``full`` matches Table 2's workload counts.
+#: Predefined scales.  ``quick`` is the scale of the committed figures
+#: (``pytest benchmarks/``); ``full`` matches Table 2's workload counts.
 SCALES: dict[str, Scale] = {
     "smoke": Scale("smoke", n_uops=2500, n_ilp=1, n_mem=1, n_mix=1, n_mixes_category=2),
     "quick": Scale("quick", n_uops=8000, n_ilp=1, n_mem=1, n_mix=1, n_mixes_category=4),

@@ -74,17 +74,31 @@ def _str_list(data: Mapping[str, Any], plural: str, singular: str) -> list[str]:
     return []
 
 
+#: Largest ``iq_entries`` or ``regs`` a request may name.  A worker builds
+#: the machine a request names, and each of its four register files
+#: allocates a free list of ``regs`` entries up front, so without a bound
+#: one request can exhaust the server's memory.  The paper's machines use
+#: 32 or 64 issue-queue entries and 64 or 128 registers per cluster; 4096
+#: is far above both and keeps every machine small.
+MAX_MACHINE_SIZE = 4096
+
+
 def _int_field(
-    data: Mapping[str, Any], name: str, default: int | None, minimum: int
+    data: Mapping[str, Any],
+    name: str,
+    default: int | None,
+    minimum: int,
+    maximum: int | None = None,
 ) -> int | None:
     if name not in data or data[name] is None:
         return default
     value = data[name]
-    _require(
+    in_range = (
         isinstance(value, int) and not isinstance(value, bool)
-        and value >= minimum,
-        f"{name!r} must be an integer >= {minimum}",
+        and value >= minimum and (maximum is None or value <= maximum)
     )
+    bounds = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+    _require(in_range, f"{name!r} must be an integer {bounds}")
     return value
 
 
@@ -157,8 +171,8 @@ class JobSpec:
                 "a run job needs exactly one 'category'",
             )
 
-        iq_entries = _int_field(data, "iq_entries", 32, 1)
-        regs = _int_field(data, "regs", None, 1)
+        iq_entries = _int_field(data, "iq_entries", 32, 1, MAX_MACHINE_SIZE)
+        regs = _int_field(data, "regs", None, 1, MAX_MACHINE_SIZE)
         index = _int_field(data, "index", 0, 0)
         stop = data.get("stop", "first_done")
         _require(

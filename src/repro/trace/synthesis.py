@@ -427,27 +427,22 @@ def generate_trace(
     name: str | None = None,
     category: str = "synthetic",
     kind: str = "ilp",
-    use_cache: bool = True,
 ) -> Trace:
     """Build a static program from ``(profile, seed)`` and emit a trace.
 
     Synthesis is deterministic in ``(profile, seed, n_uops)``, so the
     emitted records are served from the shared on-disk cache
-    (:mod:`repro.trace.cache`) when present; ``use_cache=False`` forces a
-    fresh synthesis (the generator benchmarks measure the real thing).
+    (:mod:`repro.trace.cache`) when present; ``REPRO_TRACE_CACHE=0``
+    turns that cache off.
     """
     from repro.trace import cache
 
-    records = None
-    key = ""
-    if use_cache:
-        key = cache.trace_key(profile, seed, n_uops)
-        records = cache.load_records(key, n_uops)
+    key = cache.trace_key(profile, seed, n_uops)
+    records = cache.load_records(key, n_uops)
     if records is None:
         program = SyntheticProgram(profile, seed)
         records = program.emit(n_uops)
-        if use_cache:
-            cache.store_records(key, records)
+        cache.store_records(key, records)
     trace = Trace(
         records,
         name=name or f"{profile.name}-{seed}",

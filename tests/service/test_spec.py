@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments.runner import figure2_config
-from repro.service.spec import JobSpec, SpecError
+from repro.service.spec import MAX_MACHINE_SIZE, JobSpec, SpecError
 
 SWEEP = {
     "scale": "smoke",
@@ -53,8 +53,10 @@ def test_run_kind_roundtrip_and_index():
 
 
 def test_sweep_roundtrip():
-    spec = JobSpec.from_json("sweep", SWEEP)
-    assert JobSpec.from_json("sweep", spec.to_json()) == spec
+    at_bound = dict(SWEEP, iq_entries=MAX_MACHINE_SIZE, regs=MAX_MACHINE_SIZE)
+    for body in (SWEEP, at_bound):
+        spec = JobSpec.from_json("sweep", body)
+        assert JobSpec.from_json("sweep", spec.to_json()) == spec
 
 
 @pytest.mark.parametrize(
@@ -70,6 +72,8 @@ def test_sweep_roundtrip():
         {"policies": []},
         {"frobnicate": 1},
         {"index": 0},  # sweep jobs have no index field
+        {"iq_entries": MAX_MACHINE_SIZE + 1},
+        {"regs": MAX_MACHINE_SIZE + 1},
     ],
 )
 def test_bad_sweep_bodies_raise_spec_error(body):

@@ -103,6 +103,7 @@ def test_profile_validation_rejects_bad_fractions():
 
 def test_program_reusable(ilp_profile):
     prog = SyntheticProgram(ilp_profile, seed=4)
+    assert len(prog.blocks) == ilp_profile.n_blocks
     a = prog.emit(1000)
     b = prog.emit(1000, seed=99)
     assert len(a) == len(b) == 1000

@@ -97,12 +97,6 @@ def test_disabled_by_env(tmp_path, monkeypatch):
         assert cache.stats == {"hits": 0, "misses": 0, "stores": 0}
 
 
-def test_use_cache_false_bypasses(cache_env):
-    generate_trace(PROFILE, seed=7, n_uops=500, use_cache=False)
-    assert cache.stats == {"hits": 0, "misses": 0, "stores": 0}
-    assert not list(cache_env.glob("*.npy"))
-
-
 def test_clear(cache_env):
     generate_trace(PROFILE, seed=7, n_uops=500)
     generate_trace(PROFILE, seed=8, n_uops=500)
