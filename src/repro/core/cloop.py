@@ -25,8 +25,7 @@ than a ``Uop`` object.  The transcription preserves
   keys — ages are globally unique, so any correct binary min-heap pops
   the same key sequence as CPython's ``heapq``;
 * the memory-system transcriptions (list-LRU caches, bus arbitration,
-  fill coalescing, gshare/indirect predictors) down to counter order;
-* every stats/epoch/memo update, including the rename-stall memo.
+  fill coalescing, gshare/indirect predictors) down to counter order.
 
 The *C policy table* covers all ten of the paper's schemes, and none
 of them crosses the FFI boundary mid-region.  Each is Icount (the
@@ -458,7 +457,6 @@ typedef struct {
     ring fq, infl, rob;
     i64 rob_peak;
     i64 *atcl, *atph, *atrp;      /* rename table columns */
-    i64 memo_entry, memo_gen, memo_epoch, memo_cause;
     /* policy state: Stall/Flush+ gates; registers held [class][cluster]
      * (copies charged to their thread); CDPRF threshold, RFOC,
      * Starvation and its pending flag, per class */
@@ -484,7 +482,7 @@ typedef struct cloop {
     i64 rob_cap, rob_unbounded, mob_cap;
     i64 icn_links, icn_lat;
     i64 num_int, num_arch, imb_threshold;
-    i64 policy_kind, dispatch_trivial, memo_on, forced_mode;
+    i64 policy_kind, dispatch_trivial, forced_mode;
     i64 interval, rf_total[2];    /* CDPRF: interval, register totals */
     i64 slot_bits, max_slots, watchdog;
     i64 latency[8], copy_pcls;
@@ -530,7 +528,7 @@ typedef struct cloop {
     i64 cap;
     i64 *free_slots, free_n;
     i64 *p_op, *p_dest, *p_s1, *p_s2, *p_seq, *p_ml, *p_lat, *p_tid;
-    i64 *p_age, *p_gen, *p_cl, *p_pref, *p_pd, *p_pp, *p_ppc, *p_pr;
+    i64 *p_age, *p_cl, *p_pref, *p_pd, *p_pp, *p_ppc, *p_pr;
     i64 *p_wc, *p_mob, *p_w0, *p_w1;
     u8 *p_destk, *p_pcls, *p_wp, *p_iss, *p_sq, *p_done, *p_misp, *p_orph;
     u8 *p_l2m;                    /* right-path load that missed in L2 */
@@ -543,7 +541,7 @@ typedef struct cloop {
     tctx *t;
 
     /* global machine scalars */
-    i64 cycle, age, commit_rr, last_commit, epoch, finished_count;
+    i64 cycle, age, commit_rr, last_commit, finished_count;
     i64 policy_rr;
 
     /* stats (zeroed by cloop_reset_stats) */
@@ -813,7 +811,6 @@ static int pool_grow(cloop *c) {
     pgrow_i64(c->p_lat, ocap, ncap, 0, &c->p_lat);
     pgrow_i64(c->p_tid, ocap, ncap, 0, &c->p_tid);
     pgrow_i64(c->p_age, ocap, ncap, -1, &c->p_age);
-    pgrow_i64(c->p_gen, ocap, ncap, 0, &c->p_gen);
     pgrow_i64(c->p_cl, ocap, ncap, 0, &c->p_cl);
     pgrow_i64(c->p_pref, ocap, ncap, 0, &c->p_pref);
     pgrow_i64(c->p_pd, ocap, ncap, 0, &c->p_pd);
@@ -846,7 +843,7 @@ static int pool_grow(cloop *c) {
 # --------------------------------------------------------------------- #
 
 _C_MACHINE = r"""
-/* ---- copy generation (transcribes _soa_copy) ---- */
+/* ---- copy generation (transcribes _make_copy) ---- */
 static i64 make_copy(cloop *c, i64 tid, i64 consumer_sl, i64 arch,
                      i64 target_cluster) {
     tctx *t = &c->t[tid];
@@ -870,7 +867,6 @@ static i64 make_copy(cloop *c, i64 tid, i64 consumer_sl, i64 arch,
     c->p_cl[sl] = home;
     c->p_pref[sl] = target_cluster;
     c->p_pd[sl] = replica;
-    c->p_gen[sl]++;
     c->p_iss[sl] = 0;
     c->p_sq[sl] = 0;
     c->p_done[sl] = 0;
@@ -903,7 +899,7 @@ static i64 make_copy(cloop *c, i64 tid, i64 consumer_sl, i64 arch,
     return replica;
 }
 
-/* ---- squash (transcribes _soa_squash_younger) ---- */
+/* ---- squash (transcribes _squash_younger) ---- */
 static void squash_younger(cloop *c, i64 tid, i64 keep_age, int rewind) {
     tctx *t = &c->t[tid];
     i64 min_seq = -1;
@@ -981,7 +977,6 @@ static void squash_younger(cloop *c, i64 tid, i64 keep_age, int rewind) {
         c->free_slots[c->free_n++] = sl;
     }
     c->s_squashed += n_squashed;
-    c->epoch++;
     while (t->rob.n && c->p_age[ring_last(&t->rob)] > keep_age)
         ring_pop(&t->rob);
     for (i64 i = 0; i < t->fq.n; i++) {
@@ -1008,7 +1003,7 @@ static void squash_younger(cloop *c, i64 tid, i64 keep_age, int rewind) {
     }
 }
 
-/* ---- mispredict resolution (transcribes _soa_resolve_mispredict) ---- */
+/* ---- mispredict resolution (transcribes _resolve_mispredict) ---- */
 static void resolve_misp(cloop *c, i64 branch_sl) {
     i64 tid = c->p_tid[branch_sl];
     squash_younger(c, tid, c->p_age[branch_sl], 0);
@@ -1120,7 +1115,7 @@ static void cdprf_on_cycle(cloop *c, i64 cycle) {
         }
     }
     if (cycle % c->interval) return;
-    /* interval end: re-partition, then invalidate memoized admissions */
+    /* interval end: re-partition */
     for (i64 ti = 0; ti < c->n_threads; ti++) {
         tctx *t = &c->t[ti];
         for (int k = 0; k < 2; k++) {
@@ -1132,7 +1127,6 @@ static void cdprf_on_cycle(cloop *c, i64 cycle) {
             t->rfoc[k] = 0;
         }
     }
-    c->epoch++;
 }
 
 /* ---- policy admission (transcribes may_dispatch_group loops) ---- */
@@ -1364,7 +1358,6 @@ long long cloop_run(void *cp, i64 limit, i64 stop_mode, i64 commit_target,
             }
             c->commit_rr = (rr + 1) % c->n_threads;
             if (committed) {
-                c->epoch += committed;
                 c->last_commit = cycle;
                 c->s_committed += committed;
             }
@@ -1398,7 +1391,6 @@ long long cloop_run(void *cp, i64 limit, i64 stop_mode, i64 commit_target,
                 pool_release(c, bi);
             }
             if (imap_del(&c->fill_map, cycle, &bi)) {
-                c->epoch++;   /* fills can unblock admission */
                 for (i64 i = 0; i < c->pool[bi].n; i++) {
                     tctx *t = &c->t[c->pool[bi].d[i]];
                     t->l2_pending--;
@@ -1554,7 +1546,6 @@ long long cloop_run(void *cp, i64 limit, i64 stop_mode, i64 commit_target,
             }
             if (n_issued) {
                 c->iq_occ[ci] -= n_issued;
-                c->epoch += n_issued;
                 c->s_issued += n_issued;
                 c->s_issue_cycles++;
             }
@@ -1596,7 +1587,6 @@ _C_RUN2 = r"""
         {
             i64 excluded = 0;
             i64 sel_left = c->n_threads;
-            i64 epoch = c->epoch;
             for (;;) {
                 /* selection (inlined IcountPolicy.rename_select) */
                 i64 best = -1, best_ic = 0;
@@ -1620,38 +1610,9 @@ _C_RUN2 = r"""
                 i64 renamed_n = 0;
                 while (renamed_n < c->rename_width && t->fq.n) {
                     i64 entry = ring_get(&t->fq, 0);
-                    i64 sl, genm;
-                    if (entry & 1) {
-                        sl = entry >> 1;
-                        genm = c->p_gen[sl];
-                    } else {
-                        sl = -1;
-                        genm = -1;
-                    }
-                    if (c->memo_on && t->memo_entry == entry &&
-                        t->memo_gen == genm && t->memo_epoch == epoch) {
-                        /* inlined _replay_rename_stall */
-                        i64 primary = t->memo_cause;
-                        c->rsc[primary]++;
-                        if (primary == CAUSE_IQ) {
-                            c->s_iq_stalls++;
-                            c->s_iq_block_stalls++;
-                        } else if (primary == CAUSE_RF_INT ||
-                                   primary == CAUSE_RF_FP) {
-                            c->rse[primary - CAUSE_RF_INT]++;
-                            if (c->policy_kind == K_CDPRF)   /* on_reg_stall */
-                                t->starved_now[primary - CAUSE_RF_INT] = 1;
-                        }
-                        break;
-                    }
+                    i64 sl = entry & 1 ? entry >> 1 : -1;
                     if (!c->rob_unbounded && t->rob.n >= c->rob_cap) {
                         c->rsc[CAUSE_ROB]++;
-                        if (c->memo_on) {
-                            t->memo_entry = entry;
-                            t->memo_gen = genm;
-                            t->memo_epoch = epoch;
-                            t->memo_cause = CAUSE_ROB;
-                        }
                         break;
                     }
                     i64 opc, s1, s2, dest, cur_r = -1;
@@ -1670,12 +1631,6 @@ _C_RUN2 = r"""
                     if ((opc == c->OP_LOAD || opc == c->OP_STORE) &&
                         c->mob_occ >= c->mob_cap) {
                         c->rsc[CAUSE_MOB]++;
-                        if (c->memo_on) {
-                            t->memo_entry = entry;
-                            t->memo_gen = genm;
-                            t->memo_epoch = epoch;
-                            t->memo_cause = CAUSE_MOB;
-                        }
                         break;
                     }
 
@@ -1752,12 +1707,6 @@ _C_RUN2 = r"""
                             if (c->policy_kind == K_CDPRF)   /* on_reg_stall */
                                 t->starved_now[primary - CAUSE_RF_INT] = 1;
                         }
-                        if (c->memo_on) {
-                            t->memo_entry = entry;
-                            t->memo_gen = genm;
-                            t->memo_epoch = epoch;
-                            t->memo_cause = primary;
-                        }
                         break;
                     }
 
@@ -1775,7 +1724,6 @@ _C_RUN2 = r"""
                         c->p_pcls[sl] = (u8)t->cpcls[cur_r];
                         c->p_destk[sl] = (u8)t->cdk[cur_r];
                         c->p_wp[sl] = 0;
-                        c->p_gen[sl]++;
                         c->p_iss[sl] = 0;
                         c->p_sq[sl] = 0;
                         c->p_done[sl] = 0;
@@ -1867,7 +1815,6 @@ _C_RUN2 = r"""
                         heap_push(&c->heap[chosen], (age << SB) | sl);
                     ring_push(&t->infl, sl);
                     t->icount++;
-                    epoch++;   /* ROB/MOB/IQ/registers all moved */
                     c->s_renamed++;
                     if (c->p_wp[sl]) c->s_wpr++;
                     ring_popleft(&t->fq);
@@ -1879,7 +1826,6 @@ _C_RUN2 = r"""
                 if (sel_left == 0) break;
                 excluded |= 1LL << tid;
             }
-            c->epoch = epoch;
         }
 
         /* ================= fetch ================= */
@@ -1933,7 +1879,6 @@ _C_RUN2 = r"""
                                 c->p_destk[sl] = (u8)t->cdk[i];
                                 c->p_wp[sl] = 1;
                                 c->p_age[sl] = -1;
-                                c->p_gen[sl]++;
                                 c->p_iss[sl] = 0;
                                 c->p_sq[sl] = 0;
                                 c->p_done[sl] = 0;
@@ -1980,7 +1925,6 @@ _C_RUN2 = r"""
                             c->p_destk[sl] = (u8)t->cdk[cur];
                             c->p_wp[sl] = 0;
                             c->p_age[sl] = -1;
-                            c->p_gen[sl]++;
                             c->p_iss[sl] = 0;
                             c->p_sq[sl] = 0;
                             c->p_done[sl] = 0;
@@ -2068,7 +2012,6 @@ void *cloop_new(const i64 *cfg, i64 cfg_len) {
     c->imb_threshold = cfg[q++];
     c->policy_kind = cfg[q++];
     c->dispatch_trivial = cfg[q++];
-    c->memo_on = cfg[q++];
     c->forced_mode = cfg[q++];
     i64 pool_cap = cfg[q++];
     c->slot_bits = cfg[q++];
@@ -2153,7 +2096,6 @@ void *cloop_new(const i64 *cfg, i64 cfg_len) {
     c->p_lat = (i64 *)calloc((size_t)pool_cap, sizeof(i64));
     c->p_tid = (i64 *)calloc((size_t)pool_cap, sizeof(i64));
     c->p_age = (i64 *)malloc((size_t)pool_cap * sizeof(i64));
-    c->p_gen = (i64 *)calloc((size_t)pool_cap, sizeof(i64));
     c->p_cl = (i64 *)calloc((size_t)pool_cap, sizeof(i64));
     c->p_pref = (i64 *)calloc((size_t)pool_cap, sizeof(i64));
     c->p_pd = (i64 *)calloc((size_t)pool_cap, sizeof(i64));
@@ -2188,9 +2130,6 @@ void *cloop_new(const i64 *cfg, i64 cfg_len) {
         ring_init(&t->rob);
         t->wp_cursor = 1;
         t->first_l2_miss = -1;
-        t->memo_entry = -1;
-        t->memo_gen = -1;
-        t->memo_epoch = -1;
         t->atcl = (i64 *)malloc((size_t)c->num_arch * sizeof(i64));
         t->atph = (i64 *)malloc((size_t)c->num_arch * sizeof(i64));
         t->atrp = (i64 *)malloc((size_t)c->num_arch * sizeof(i64));
@@ -2290,14 +2229,13 @@ void cloop_seed_policy(void *cp, const i64 *v) {
 
 long long cloop_export(void *cp, i64 *out, i64 cap) {
     cloop *c = (cloop *)cp;
-    i64 need = 85 + (17 + POLICY_STATE) * c->n_threads;
+    i64 need = 84 + (17 + POLICY_STATE) * c->n_threads;
     if (cap < need) return -1;
     i64 q = 0;
     out[q++] = c->cycle;
     out[q++] = c->age;
     out[q++] = c->commit_rr;
     out[q++] = c->last_commit;
-    out[q++] = c->epoch;
     out[q++] = c->finished_count;
     out[q++] = c->policy_rr;
     out[q++] = c->s_cycles;
@@ -2453,7 +2391,7 @@ void cloop_free(void *cp) {
     free(c->free_slots);
     free(c->p_op); free(c->p_dest); free(c->p_s1); free(c->p_s2);
     free(c->p_seq); free(c->p_ml); free(c->p_lat); free(c->p_tid);
-    free(c->p_age); free(c->p_gen); free(c->p_cl); free(c->p_pref);
+    free(c->p_age); free(c->p_cl); free(c->p_pref);
     free(c->p_pd); free(c->p_pp); free(c->p_ppc); free(c->p_pr);
     free(c->p_wc); free(c->p_mob); free(c->p_w0); free(c->p_w1);
     free(c->p_destk); free(c->p_pcls); free(c->p_wp); free(c->p_iss);
@@ -2566,7 +2504,7 @@ class _CloopContext:
         self._lib = lib
         self._ffi = ffi
         self._n_threads = proc._n_threads
-        self._need = 85 + (17 + _POLICY_STATE) * proc._n_threads
+        self._need = 84 + (17 + _POLICY_STATE) * proc._n_threads
         self._kind = _C_POLICY_KINDS[type(proc.policy)]
         self._out = ffi.new("long long[]", self._need)
         #: (fq_len, inflight_len, rob_len) per thread from the last
@@ -2601,7 +2539,6 @@ class _CloopContext:
             proc.steering.imbalance_threshold,
             self._kind,
             int(proc._dispatch_trivial),
-            int(proc._memo_on),
             int(proc._forced_cluster is not None),
             proc._pool_capacity(),
             SLOT_BITS,
@@ -2768,10 +2705,9 @@ class _CloopContext:
             proc._age,
             proc._commit_rr,
             proc._last_commit_cycle,
-            proc._epoch,
             proc.finished_count,
             proc.policy._rr,
-        ) = take(7)
+        ) = take(6)
 
         s = proc.stats
         (
@@ -3002,8 +2938,9 @@ class CloopProcessor(VectorizedProcessor):
 
         Returns the typed exit reason: :data:`REGION_DONE` when the
         ``stop`` condition (``"first_done"``/``"all_done"``) fired, else
-        :data:`REGION_LIMIT`.  This is the boundary non-C policies and
-        telemetry drivers use: observable state is fully exported at
+        :data:`REGION_LIMIT`.  ``run_simulation`` does not call it; it
+        is the public way to step a machine region by region, for tests
+        and interactive use: observable state is fully exported at
         return, so arbitrary Python may inspect the machine between
         regions.  Works identically (reason included) on the pure
         fallback path.

@@ -144,17 +144,6 @@ class Processor:
         #: place a thread can transition to finished (_commit_uop), making
         #: any_done/all_done O(1) in the run loop
         self.finished_count = sum(1 for t in self.threads if t.finished)
-        # --- failed-rename memoization ---
-        # A thread blocked at rename re-runs steering + the full admission
-        # check every cycle on the same head uop.  Both are pure functions
-        # of machine state, so the failure (and its blocking cause) can be
-        # replayed until any state an admission decision reads changes;
-        # _epoch is bumped at every such mutation (dispatch, issue, commit,
-        # squash, L2 fill, policy re-partitions via note_admission_change).
-        self._epoch = 0
-        self._rename_memo: list[tuple[Uop | None, int, str]] = [
-            (None, -1, "") for _ in range(config.num_threads)
-        ]
         # hot-path caches (plain ints beat enum lookups in the cycle loop)
         self._latency = [latency_for(config, UopClass(c)) for c in range(8)]
         self._num_arch_int = NUM_ARCH_INT
@@ -173,13 +162,6 @@ class Processor:
         # hook once instead of a getattr per renamed uop
         self._forced_cluster = getattr(policy, "forced_cluster", None)
         policy.attach(self)
-        # memoization is sound only when steering is stateless (RoundRobin
-        # mutates per query) and the policy declares its admission checks
-        # pure functions of epoch-guarded state
-        self._memo_on = bool(
-            getattr(self.steering, "stateless", False)
-            and getattr(policy, "admission_cycle_invariant", False)
-        )
         # policies that never restrict a share keep the base class's
         # always-True admission hooks; resolve that once so the admission
         # check can skip the calls entirely (Icount skips all three)
@@ -236,11 +218,6 @@ class Processor:
     def release(self) -> None:
         """End of run: free resources the engine holds outside Python
         objects.  The Python engines hold none; see ``CloopProcessor``."""
-
-    def note_admission_change(self) -> None:
-        """A policy mutated state its admission checks read (e.g. a CDPRF
-        re-partition); invalidates memoized failed-rename decisions."""
-        self._epoch += 1
 
     def all_done(self) -> bool:
         """Every thread has committed its whole trace."""
@@ -335,7 +312,6 @@ class Processor:
             self.mob.release(uop)
         thread.committed += 1
         self.stats.committed_per_thread[uop.tid] += 1
-        self._epoch += 1
         # commit is the only transition into `finished` (squash walks always
         # leave the triggering uop in flight or rewind the cursor)
         if (
@@ -373,7 +349,6 @@ class Processor:
                 self._resolve_mispredict(uop)
         fills = self._fill_events.pop(self.cycle, None)
         if fills:
-            self._epoch += 1  # fills can unblock admission (DCRA, Stall)
             for tid in fills:
                 t = self.threads[tid]
                 t.l2_pending -= 1
@@ -436,7 +411,6 @@ class Processor:
 
     def _start_execution(self, uop: Uop, cl: Cluster) -> None:
         uop.issued = True
-        self._epoch += 1  # IQ occupancy drops; admission may now pass
         cl.iq.release(uop)
         thread = self.threads[uop.tid]
         thread.icount -= 1
@@ -499,23 +473,11 @@ class Processor:
     def _rename_one(self, thread: ThreadContext, uop: Uop) -> bool:
         stats = self.stats
         tid = thread.tid
-        if self._memo_on:
-            memo = self._rename_memo[tid]
-            if memo[0] is uop and memo[1] == self._epoch:
-                # same head uop, no admission-relevant state change since
-                # the last failure: replay the bookkeeping of the recorded
-                # blocking cause instead of re-running steering + admission
-                self._replay_rename_stall(tid, memo[2])
-                return False
         if not thread.rob.can_alloc():
             stats.rename_stall_cycles["rob"] += 1
-            if self._memo_on:
-                self._rename_memo[tid] = (uop, self._epoch, "rob")
             return False
         if (uop.opclass == _LOAD or uop.opclass == _STORE) and not self.mob.can_alloc():
             stats.rename_stall_cycles["mob"] += 1
-            if self._memo_on:
-                self._rename_memo[tid] = (uop, self._epoch, "mob")
             return False
 
         table = thread.rename_table
@@ -561,34 +523,10 @@ class Processor:
                 tel = self.tel
                 if tel is not None:
                     tel.note_reg_stall(self.cycle, tid, k)
-            if self._memo_on:
-                self._rename_memo[tid] = (uop, self._epoch, primary)
             return False
 
         self._dispatch_uop(thread, uop, chosen, table)
         return True
-
-    def _replay_rename_stall(self, tid: int, primary: str) -> None:
-        """Re-apply the bookkeeping of a memoized rename failure.
-
-        Mirrors the failure tail of :meth:`_rename_one` exactly: the stall
-        attribution, the Figure 4 counters for an IQ block, and the
-        starvation hooks for a register block (``on_reg_stall`` must still
-        fire every cycle — CDPRF's Starvation counter counts consecutive
-        blocked cycles).
-        """
-        stats = self.stats
-        stats.rename_stall_cycles[primary] += 1
-        if primary == "iq":
-            stats.iq_stalls += 1
-            stats.iq_block_stalls += 1
-        elif primary == "rf_int" or primary == "rf_fp":
-            k = 0 if primary == "rf_int" else 1
-            stats.reg_stall_events[k] += 1
-            self.policy.on_reg_stall(tid, k)
-            tel = self.tel
-            if tel is not None:
-                tel.note_reg_stall(self.cycle, tid, k)
 
     def _admission_check(
         self, tid: int, uop: Uop, cluster: int, table: RenameTable
@@ -765,7 +703,6 @@ class Processor:
         thread.inflight.append(uop)
         thread.icount += 1
         self.policy.on_rename(uop)
-        self._epoch += 1  # ROB/MOB/IQ/registers all moved
         stats = self.stats
         stats.renamed += 1
         if uop.wrong_path:
@@ -894,7 +831,6 @@ class Processor:
                 if not uop.wrong_path and uop.seq >= 0:
                     min_seq = uop.seq if min_seq is None else min(min_seq, uop.seq)
             self.policy.on_squash(uop)
-        self._epoch += 1  # every squash releases admission-relevant state
         # drop ROB entries (same set as the non-copy uops above)
         thread.rob.squash_younger_than(keep_age)
         # drain the fetch queue (everything in it is younger than keep_age)

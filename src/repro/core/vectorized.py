@@ -21,7 +21,7 @@ interpreter's inner loop is executed:
   call (the reference pays a dynamic dispatch per event);
 * **inlined select/arbitrate/rename/commit**: the per-uop bodies of the
   reference stage methods are transcribed here operation for operation
-  — same visitation order, same counter updates, same epoch bumps — so
+  — same visitation order, same counter updates — so
   identity holds by construction.  Rare paths (mispredict resolution,
   squash walks, policy flushes, copy generation, unbounded register
   growth) call straight back into the reference implementation.
@@ -370,7 +370,6 @@ class VectorizedProcessor(Processor):
             if on_squash_h is not None:
                 on_squash_h(uop)
         self.stats.squashed_uops += n_squashed
-        self._epoch += 1  # every squash releases admission-relevant state
         thread.rob.squash_younger_than(keep_age)
         for qu in thread.fetch_queue:
             if not qu.wrong_path and qu.seq >= 0:
@@ -457,8 +456,6 @@ class VectorizedProcessor(Processor):
         steer_inline = self._steer_inline
         imb_threshold = steering.imbalance_threshold
         forced = self._forced_cluster
-        memo_on = self._memo_on
-        memo_list = self._rename_memo
         dispatch_trivial = self._dispatch_trivial
         alloc_trivial = self._alloc_trivial
         rename_width = self._rename_width
@@ -583,8 +580,6 @@ class VectorizedProcessor(Processor):
                     progress = True
             self._commit_rr = (rr + 1) % n_threads
             if committed:
-                # batched: nothing reads the rename-memo epoch mid-commit
-                self._epoch += committed
                 self._last_commit_cycle = cycle
                 s.committed += committed
 
@@ -621,7 +616,6 @@ class VectorizedProcessor(Processor):
                         self._resolve_mispredict(uop)
             fl = fe_pop(cycle, None)
             if fl:
-                self._epoch += 1  # fills can unblock admission (DCRA, Stall)
                 for tid in fl:
                     t = threads[tid]
                     t.l2_pending -= 1
@@ -759,7 +753,6 @@ class VectorizedProcessor(Processor):
                     if fuse_issue:
                         if n_issued:
                             iq.occupancy -= n_issued
-                            self._epoch += n_issued  # IQ occupancy drops
                             s.issued += n_issued
                             s.issue_cycles += 1
                     else:
@@ -769,7 +762,6 @@ class VectorizedProcessor(Processor):
                             if uop.squashed:
                                 continue  # flushed by a policy event this cycle
                             uop.issued = True
-                            self._epoch += 1  # IQ occupancy drops
                             iq.occupancy -= 1
                             pt = iq.per_thread
                             tid = uop.tid
@@ -915,34 +907,12 @@ class VectorizedProcessor(Processor):
                 renamed_n = 0
                 while renamed_n < rename_width and fq:
                     uop = fq[0]
-                    epoch = self._epoch
-                    if memo_on:
-                        m = memo_list[tid]
-                        if m[0] is uop and m[1] == epoch:
-                            # --- inlined _replay_rename_stall ---
-                            primary = m[2]
-                            rsc[primary] += 1
-                            if primary == "iq":
-                                s.iq_stalls += 1
-                                s.iq_block_stalls += 1
-                            elif primary == "rf_int" or primary == "rf_fp":
-                                k = 0 if primary == "rf_int" else 1
-                                rse[k] += 1
-                                if on_reg_stall_h is not None:
-                                    on_reg_stall_h(tid, k)
-                                if tel is not None:
-                                    tel.note_reg_stall(cycle, tid, k)
-                            break
                     if not (rob.unbounded or len(rob_entries) < rob.capacity):
                         rsc["rob"] += 1
-                        if memo_on:
-                            memo_list[tid] = (uop, epoch, "rob")
                         break
                     opc = uop.opclass
                     if (opc == _LOAD or opc == _STORE) and mob.occupancy >= mob_capacity:
                         rsc["mob"] += 1
-                        if memo_on:
-                            memo_list[tid] = (uop, epoch, "mob")
                         break
 
                     # --- single-pass source resolution: one rename-table
@@ -1090,8 +1060,6 @@ class VectorizedProcessor(Processor):
                                 on_reg_stall_h(tid, k)
                             if tel is not None:
                                 tel.note_reg_stall(cycle, tid, k)
-                        if memo_on:
-                            memo_list[tid] = (uop, epoch, primary)
                         break
 
                     # --- inlined _dispatch_uop(thread, uop, chosen, table) ---
@@ -1192,7 +1160,6 @@ class VectorizedProcessor(Processor):
                     thread.icount += 1
                     if on_rename_h is not None:
                         on_rename_h(uop)
-                    self._epoch += 1  # ROB/MOB/IQ/registers all moved
                     s.renamed += 1
                     if uop.wrong_path:
                         s.wrong_path_renamed += 1

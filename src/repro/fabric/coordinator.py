@@ -232,7 +232,9 @@ class FabricHub(Executor):
                 self._on_message(conn, msg)
                 if conn not in self.conns:
                     return  # dropped by that message
-        except (protocol.ProtocolError, KeyError, TypeError, ValueError) as exc:
+        except (
+            protocol.ProtocolError, KeyError, TypeError, ValueError, OverflowError
+        ) as exc:
             self._drop(conn, f"protocol error: {exc}")
 
     def _on_message(self, conn: _Conn, msg: dict[str, Any]) -> None:

@@ -98,7 +98,8 @@ def _parse(buf: bytes | bytearray) -> tuple[int, dict[str, Any] | None]:
     ``message`` is None and ``end`` is how many bytes it needs so far (the
     header, then header plus body); after that ``end`` is where the frame
     ends.  Raises :class:`ProtocolError` on an oversized length, a body
-    that is not JSON, or a message without a ``type``.
+    that is not JSON or nests too deeply to parse, or a message without a
+    ``type``.
     """
     if len(buf) < _HEADER.size:
         return _HEADER.size, None
@@ -110,7 +111,7 @@ def _parse(buf: bytes | bytearray) -> tuple[int, dict[str, Any] | None]:
         return end, None
     try:
         msg = json.loads(buf[_HEADER.size:end])
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ProtocolError(f"frame body is not JSON: {exc}") from None
     if not isinstance(msg, dict) or "type" not in msg:
         raise ProtocolError("frame is not a typed message object")

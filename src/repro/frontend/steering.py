@@ -37,11 +37,6 @@ class Steering:
 
     __slots__ = ("imbalance_threshold",)
 
-    #: pure function of (uop, rename table, IQ occupancies)?  The processor
-    #: memoizes failed rename attempts only over stateless steering — a
-    #: stateful chooser (RoundRobinSteering) must see every query.
-    stateless = True
-
     def __init__(self, imbalance_threshold: int = 4) -> None:
         self.imbalance_threshold = imbalance_threshold
 
@@ -103,8 +98,6 @@ class RoundRobinSteering(Steering):
     """Ablation baseline: alternate clusters per renamed uop (Raasch-style)."""
 
     __slots__ = ("_next",)
-
-    stateless = False  # every query advances the rotor
 
     def __init__(self) -> None:
         super().__init__(imbalance_threshold=0)

@@ -34,15 +34,6 @@ class ResourcePolicy:
 
     name = "base"
 
-    #: Declares that :meth:`may_dispatch`/:meth:`may_alloc_reg` (and the
-    #: steering inputs) are pure functions of state guarded by the
-    #: processor's admission epoch — every mutation of that state happens
-    #: inside an epoch-bumping funnel (dispatch/issue/commit/squash/L2
-    #: fill) or calls ``proc.note_admission_change()`` itself.  Only then
-    #: may the processor memoize a failed rename attempt.  Policies that
-    #: read un-guarded state must leave this False.
-    admission_cycle_invariant = False
-
     def __init__(self) -> None:
         self.proc: "Processor | None" = None
         self._rr = 0

@@ -100,7 +100,6 @@ class CDPRFPolicy(_RegMeteredCSSP):
                 self.threshold[t][k] = max(1, min(avg, cap))
                 self.rfoc[t][k] = 0
         assert self.proc is not None
-        self.proc.note_admission_change()
         tel = self.proc.tel
         if tel is not None:
             tel.repartition(self.proc.cycle, self.threshold)

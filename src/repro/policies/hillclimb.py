@@ -61,7 +61,6 @@ class HillClimbPolicy(_RegMeteredCSSP):
         self.bias = max(
             -self.max_bias, min(self.max_bias, self.bias + self._direction * self.step)
         )
-        self.proc.note_admission_change()  # bias moved: admission changed
 
     def _iq_share_for(self, tid: int, capacity: int) -> int:
         half = capacity // 2

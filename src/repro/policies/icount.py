@@ -23,11 +23,6 @@ class IcountPolicy(ResourcePolicy):
 
     name = "icount"
 
-    # every registry scheme derives from Icount; their admission checks all
-    # read epoch-guarded machine state (occupancies, register usage) plus
-    # interval state that re-partitions through note_admission_change()
-    admission_cycle_invariant = True
-
     def rename_select(
         self, cycle: int, exclude: AbstractSet[int] = frozenset()
     ) -> Optional["ThreadContext"]:

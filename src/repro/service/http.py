@@ -59,15 +59,24 @@ class Request:
             raise ProtocolError("empty body; expected a JSON object")
         try:
             return json.loads(self.body)
-        except ValueError:
+        except (ValueError, RecursionError):
             raise ProtocolError("request body is not valid JSON") from None
+
+
+async def _readline(reader: asyncio.StreamReader) -> bytes:
+    """One line; ``readline`` reports a line longer than the stream's
+    limit as a plain ValueError, which is a malformed request here."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise ProtocolError("request line or header too long") from None
 
 
 async def read_request(reader: asyncio.StreamReader) -> Request | None:
     """Parse one request; None on a cleanly closed connection."""
     try:
-        line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError):
+        line = await _readline(reader)
+    except ConnectionError:
         return None
     if not line or line in (b"\r\n", b"\n"):
         return None
@@ -79,7 +88,7 @@ async def read_request(reader: asyncio.StreamReader) -> Request | None:
     headers: dict[str, str] = {}
     total = len(line)
     while True:
-        raw = await reader.readline()
+        raw = await _readline(reader)
         total += len(raw)
         if total > MAX_HEADER_BYTES:
             raise ProtocolError("request headers too large")

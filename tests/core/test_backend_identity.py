@@ -24,6 +24,7 @@ import pytest
 from repro.core.backends import BACKENDS, OPTIONAL_BACKENDS, resolve_backend
 from repro.core.simulator import run_simulation
 from repro.policies import POLICY_NAMES, make_policy
+from repro.policies.icount import IcountPolicy
 from repro.telemetry import Telemetry, TelemetryConfig
 
 #: Every registered engine that must match the oracle.
@@ -173,6 +174,29 @@ def test_identical_unbounded_machine(unbounded_config, backend, ilp_trace, mem_t
     traces = [ilp_trace, mem_trace]
     ref = _ref("unbounded", unbounded_config, "icount", traces)
     got = _run(unbounded_config, "icount", traces, backend)
+    _assert_identical(ref, got)
+
+
+class _EvenCycleIcount(IcountPolicy):
+    """Icount that admits only on even cycles: admission reads
+    ``proc.cycle``, which no dispatch, issue, commit or squash moves."""
+
+    def may_dispatch(self, tid, cluster, needed=1):
+        return self.proc.cycle % 2 == 0
+
+
+@pytest.mark.parametrize("backend", ALT_BACKENDS)
+def test_admission_may_read_any_state(config, backend, ilp_trace, mem_trace):
+    """A thread blocked at rename re-runs steering and admission every
+    cycle, so an admission rule may read any machine or policy state and
+    still runs to completion, identically on every engine."""
+    kw = {"max_cycles": 60_000, "warmup_uops": 300, "prewarm_caches": True}
+    ref, got = (
+        run_simulation(config, _EvenCycleIcount(), [ilp_trace, mem_trace],
+                       backend=b, **kw)
+        for b in ("reference", backend)
+    )
+    assert ref.committed > 0
     _assert_identical(ref, got)
 
 

@@ -315,6 +315,43 @@ def test_version_mismatch_is_refused(pool, tmp_path):
     assert "version" in reply["error"]
 
 
+def test_malformed_frames_do_not_kill_the_hub(pool, tmp_path):
+    """A frame whose number overflows ``int`` or whose body nests too
+    deeply for ``json`` drops only its own connection, whether or not it
+    said ``hello`` first: the hub's I/O thread lives on and a good worker
+    still completes the sweep."""
+    hub = FabricHub(FabricSettings(port=0))
+    runner = ExperimentRunner(
+        "smoke", pool=pool, cache_dir=tmp_path / "cache"
+    )
+    items = parallel.sweep_items(
+        runner, figure2_config(32), POLICIES[:1], list(pool)[:1]
+    )
+    hello = b'{"type":"hello","version":%d,"pid":%s,"host":"x","window":%s}'
+    bodies = [
+        hello % (protocol.VERSION, b"0", b"1e400"),
+        hello % (protocol.VERSION, b"1e400", b"1"),
+        b"[" * 100_000 + b"]" * 100_000,
+    ]
+    try:
+        for body in bodies:
+            with socket.create_connection(("127.0.0.1", hub.port)) as sock:
+                sock.settimeout(10)
+                sock.sendall(protocol._HEADER.pack(len(body)) + body)
+                try:
+                    while sock.recv(4096):
+                        pass  # until the hub closes the connection
+                except ConnectionResetError:
+                    pass
+            assert hub._thread.is_alive(), body[:60]
+        _worker_thread(hub.port)
+        executed = parallel.run_items(runner, items, hub, label="malformed")
+    finally:
+        hub.close()
+    assert executed == len(items)
+    assert hub.drops >= len(bodies)
+
+
 def test_worker_error_fails_the_sweep(pool, tmp_path):
     hub = FabricHub(FabricSettings(port=0))
     runner = ExperimentRunner(

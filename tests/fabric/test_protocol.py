@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 import socket
+import threading
 
 import pytest
 
@@ -63,14 +64,27 @@ def _feed(data: bytes):
 
 
 def _recv(data: bytes):
-    """``recv_msg`` reading ``data`` from a socketpair whose writer closed."""
+    """``recv_msg`` reading ``data`` from a socketpair whose writer then
+    closes (the writer is a thread, so ``data`` may exceed the socket
+    buffer)."""
     a, b = socket.socketpair()
+
+    def _write():
+        try:
+            a.sendall(data)
+        except OSError:
+            pass  # the reader gave up first
+        finally:
+            a.close()
+
+    writer = threading.Thread(target=_write, daemon=True)
+    writer.start()
     try:
-        a.sendall(data)
-        a.close()
         return protocol.recv_msg(b)
     finally:
         b.close()
+        writer.join(timeout=10)
+        assert not writer.is_alive()
 
 
 def _rejects(data: bytes, match: str) -> None:
@@ -86,9 +100,14 @@ def _rejects(data: bytes, match: str) -> None:
             pytest.fail(f"{name} accepted {data!r}")
 
 
+#: a 200 KB body nested too deeply for ``json.loads`` (RecursionError)
+NESTED = b"[" * 100_000 + b"]" * 100_000
+
+
 def test_feed_rejects_garbage_and_untyped_frames():
     _rejects(protocol._HEADER.pack(5) + b"{!!!}", "not JSON")
     _rejects(protocol._HEADER.pack(2) + b"[]", "typed")
+    _rejects(protocol._HEADER.pack(len(NESTED)) + NESTED, "not JSON")
 
 
 def test_feed_rejects_oversized_frame_header():

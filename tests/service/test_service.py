@@ -12,6 +12,7 @@ import dataclasses
 import errno
 import json
 import os
+import socket
 
 import pytest
 
@@ -88,6 +89,34 @@ def test_unknown_route_is_404(server):
     with pytest.raises(ServiceError) as exc:
         client(server)._request("GET", "/v2/nope")
     assert exc.value.status == 404
+
+
+def _raw_reply(server, data: bytes) -> bytes:
+    """The server's whole reply to ``data`` sent on a fresh connection."""
+    with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+        sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    return reply
+
+
+def test_oversized_lines_and_deep_json_are_400(server):
+    """A request line or header line longer than asyncio's 64 KiB stream
+    limit, and a body nested too deeply for ``json``, are malformed
+    requests: each gets a 400, and the server keeps serving."""
+    nested = b"[" * 100_000 + b"]" * 100_000
+    requests = [
+        b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+        b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n",
+        b"POST /v1/sweeps HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+        % (len(nested), nested),
+    ]
+    for data in requests:
+        reply = _raw_reply(server, data)
+        assert reply.startswith(b"HTTP/1.1 400 "), (data[:40], reply[:80])
+    assert client(server).health()["ok"] is True
 
 
 # -- byte identity with the direct runner ------------------------------------

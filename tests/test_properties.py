@@ -4,24 +4,33 @@ These cover the structures whose correctness the whole simulation rests on:
 the LRU cache, the physical register free lists, the issue queue's
 oldest-first select, the rename table's define/undo symmetry, the fairness
 metric's bounds, and — most importantly — end-to-end pipeline invariants
-under randomly generated trace profiles.
+under randomly generated trace profiles.  The parsers behind a listening
+port (the fabric's frame decoder, the service's HTTP request reader and
+its job-spec parser) must turn any input into a value or their one typed
+error.
 """
 
 from __future__ import annotations
 
+import asyncio
+import json
+
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.backend.issue import IssueQueue
 from repro.backend.regfile import PhysRegFile
 from repro.config import baseline_config
 from repro.core.processor import Processor
+from repro.fabric.protocol import _HEADER, FrameDecoder, ProtocolError
 from repro.frontend.rename import RenameTable
 from repro.isa import NO_REG, NUM_ARCH_REGS, RegClass, Uop, UopClass
 from repro.memory.cache import SetAssocCache
 from repro.metrics.fairness import fairness
 from repro.policies import POLICY_NAMES, make_policy
+from repro.service import http as shttp
+from repro.service.spec import JobSpec, SpecError
 from repro.trace.synthesis import TraceProfile, generate_trace
 
 # --------------------------------------------------------------------------- #
@@ -211,3 +220,105 @@ def test_pipeline_completes_and_drains(profile, seed, policy):
     for c, cl in enumerate(proc.clusters):
         for k in (0, 1):
             assert cl.regs[k].in_use == expected[c][k]
+
+
+# --------------------------------------------------------------------------- #
+# parsers behind a listening port                                             #
+# --------------------------------------------------------------------------- #
+
+#: nested deeper than ``json.loads`` can recurse (it raises RecursionError)
+_NESTED = b"[" * 100_000 + b"]" * 100_000
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=8), kids, max_size=4),
+    max_leaves=12,
+)
+
+
+def _frame(body: bytes) -> bytes:
+    return _HEADER.pack(len(body)) + body
+
+
+_frame_bodies = st.binary(max_size=64) | _json_values.map(
+    lambda v: json.dumps(v).encode()
+)
+_frame_streams = st.binary(max_size=256) | st.lists(
+    _frame_bodies.map(_frame), max_size=4
+).map(b"".join)
+
+
+@given(data=_frame_streams, cuts=st.lists(st.integers(0, 512), max_size=6))
+@settings(max_examples=50)
+@example(data=_frame(_NESTED), cuts=[])
+@example(data=_frame(_NESTED), cuts=[4, 100_000])
+def test_frame_decoder_yields_typed_messages_or_protocol_error(data, cuts):
+    """Any bytes, split anywhere: ``FrameDecoder.feed`` yields typed dict
+    messages or raises :class:`ProtocolError`, and nothing else."""
+    decoder = FrameDecoder()
+    bounds = sorted({0, len(data), *(min(c, len(data)) for c in cuts)})
+    try:
+        for lo, hi in zip(bounds, bounds[1:]):
+            for msg in decoder.feed(data[lo:hi]):
+                assert isinstance(msg, dict) and "type" in msg
+    except ProtocolError:
+        pass
+
+
+def _read_request(data: bytes):
+    async def read():
+        reader = asyncio.StreamReader()  # asyncio's default 64 KiB limit
+        reader.feed_data(data)
+        reader.feed_eof()
+        return await shttp.read_request(reader)
+
+    return asyncio.run(read())
+
+
+_request_heads = st.sampled_from(
+    [b"", b"GET / HTTP/1.1\r\n", b"POST /v1/sweeps HTTP/1.1\r\n"]
+)
+
+
+@given(head=_request_heads, data=st.binary(max_size=256))
+@settings(max_examples=50)
+@example(head=b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n", data=b"\r\n")
+@example(head=b"GET / HTTP/1.1\r\n", data=b"X-Big: " + b"a" * 70_000 + b"\r\n\r\n")
+@example(
+    head=b"POST /v1/sweeps HTTP/1.1\r\n",
+    data=b"Content-Length: %d\r\n\r\n%s" % (len(_NESTED), _NESTED),
+)
+def test_read_request_returns_request_or_protocol_error(head, data):
+    """Any bytes: ``read_request`` returns a :class:`Request` (whose JSON
+    body parses or raises), returns None, or raises
+    :class:`ProtocolError`, and nothing else."""
+    try:
+        request = _read_request(head + data)
+        if request is not None:
+            assert isinstance(request, shttp.Request)
+            request.json()
+    except shttp.ProtocolError:
+        pass
+
+
+_spec_fields = st.sampled_from(
+    ["scale", "policy", "policies", "category", "categories", "index",
+     "iq_entries", "regs", "unbounded_regs", "unbounded_rob", "stop"]
+)
+
+
+@settings(max_examples=50)
+@given(
+    kind=st.sampled_from(["run", "sweep"]),
+    data=_json_values
+    | st.dictionaries(_spec_fields | st.text(max_size=4), _json_values, max_size=6),
+)
+def test_job_spec_parser_returns_spec_or_spec_error(kind, data):
+    """Any JSON value: ``JobSpec.from_json`` returns a spec or raises
+    :class:`SpecError`, and nothing else."""
+    try:
+        spec = JobSpec.from_json(kind, data)
+    except SpecError:
+        return
+    assert isinstance(spec, JobSpec)
