@@ -11,6 +11,11 @@ import pytest
 from repro.config import baseline_config
 from repro.trace.synthesis import TraceProfile, generate_trace
 
+#: a 200 KB JSON body nested deeper than ``json.loads`` can recurse (it
+#: raises RecursionError): the fabric's frame parser and the service's
+#: request parser must reject it as malformed
+NESTED_JSON = b"[" * 100_000 + b"]" * 100_000
+
 
 @pytest.fixture(scope="session", autouse=True)
 def _isolated_trace_cache(tmp_path_factory):

@@ -21,7 +21,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.backends import BACKENDS, OPTIONAL_BACKENDS, resolve_backend
+from repro.core.backends import (
+    BACKENDS,
+    OPTIONAL_BACKENDS,
+    make_processor,
+    resolve_backend,
+)
 from repro.core.simulator import run_simulation
 from repro.policies import POLICY_NAMES, make_policy
 from repro.policies.icount import IcountPolicy
@@ -36,6 +41,8 @@ _ref_memo: dict[str, object] = {}
 
 
 def _policy(name):
+    if isinstance(name, type):  # a policy class outside the registry
+        return name()
     # quick-scale adaptation interval so CDPRF re-partitions in short runs
     return make_policy(name, interval=1024) if name == "cdprf" else make_policy(name)
 
@@ -189,13 +196,15 @@ class _EvenCycleIcount(IcountPolicy):
 def test_admission_may_read_any_state(config, backend, ilp_trace, mem_trace):
     """A thread blocked at rename re-runs steering and admission every
     cycle, so an admission rule may read any machine or policy state and
-    still runs to completion, identically on every engine."""
-    kw = {"max_cycles": 60_000, "warmup_uops": 300, "prewarm_caches": True}
-    ref, got = (
-        run_simulation(config, _EvenCycleIcount(), [ilp_trace, mem_trace],
-                       backend=b, **kw)
-        for b in ("reference", backend)
-    )
+    still runs to completion, identically on every engine.  A policy
+    subclass is outside the C policy table, so on ``cloop`` this runs,
+    and covers, the ``vectorized`` fallback, not the kernel."""
+    traces = [ilp_trace, mem_trace]
+    if backend == "cloop":
+        proc = make_processor("cloop", config, _EvenCycleIcount(), traces)
+        assert not proc.kernel_active()
+    ref = _ref("even-cycle", config, _EvenCycleIcount, traces)
+    got = _run(config, _EvenCycleIcount, traces, backend)
     assert ref.committed > 0
     _assert_identical(ref, got)
 

@@ -26,6 +26,7 @@ from repro.fabric import protocol
 from repro.fabric.coordinator import FabricHub, FabricSettings
 from repro.fabric.worker import Worker
 from repro.trace.workloads import build_pool
+from tests.conftest import NESTED_JSON
 
 POOL_KW = dict(
     n_uops=2500, n_ilp=1, n_mem=1, n_mix=0, n_mixes_category=0,
@@ -331,7 +332,7 @@ def test_malformed_frames_do_not_kill_the_hub(pool, tmp_path):
     bodies = [
         hello % (protocol.VERSION, b"0", b"1e400"),
         hello % (protocol.VERSION, b"1e400", b"1"),
-        b"[" * 100_000 + b"]" * 100_000,
+        NESTED_JSON,
     ]
     try:
         for body in bodies:

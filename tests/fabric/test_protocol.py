@@ -18,6 +18,7 @@ from repro.experiments.parallel import sweep_items
 from repro.experiments.runner import ExperimentRunner, figure2_config
 from repro.fabric import protocol
 from repro.trace.workloads import build_pool
+from tests.conftest import NESTED_JSON
 
 POOL_KW = dict(
     n_uops=2500, n_ilp=1, n_mem=1, n_mix=0, n_mixes_category=0,
@@ -100,14 +101,10 @@ def _rejects(data: bytes, match: str) -> None:
             pytest.fail(f"{name} accepted {data!r}")
 
 
-#: a 200 KB body nested too deeply for ``json.loads`` (RecursionError)
-NESTED = b"[" * 100_000 + b"]" * 100_000
-
-
 def test_feed_rejects_garbage_and_untyped_frames():
     _rejects(protocol._HEADER.pack(5) + b"{!!!}", "not JSON")
     _rejects(protocol._HEADER.pack(2) + b"[]", "typed")
-    _rejects(protocol._HEADER.pack(len(NESTED)) + NESTED, "not JSON")
+    _rejects(protocol._HEADER.pack(len(NESTED_JSON)) + NESTED_JSON, "not JSON")
 
 
 def test_feed_rejects_oversized_frame_header():

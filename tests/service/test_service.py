@@ -24,6 +24,7 @@ from repro.service import (
     ServiceSettings,
 )
 from repro.service.spec import JobSpec
+from tests.conftest import NESTED_JSON
 
 
 def sweep_body(iq=32, policies=("icount", "cssp")):
@@ -106,12 +107,11 @@ def test_oversized_lines_and_deep_json_are_400(server):
     """A request line or header line longer than asyncio's 64 KiB stream
     limit, and a body nested too deeply for ``json``, are malformed
     requests: each gets a 400, and the server keeps serving."""
-    nested = b"[" * 100_000 + b"]" * 100_000
     requests = [
         b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
         b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n",
         b"POST /v1/sweeps HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
-        % (len(nested), nested),
+        % (len(NESTED_JSON), NESTED_JSON),
     ]
     for data in requests:
         reply = _raw_reply(server, data)

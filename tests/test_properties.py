@@ -32,6 +32,7 @@ from repro.policies import POLICY_NAMES, make_policy
 from repro.service import http as shttp
 from repro.service.spec import JobSpec, SpecError
 from repro.trace.synthesis import TraceProfile, generate_trace
+from tests.conftest import NESTED_JSON
 
 # --------------------------------------------------------------------------- #
 # cache                                                                        #
@@ -226,9 +227,6 @@ def test_pipeline_completes_and_drains(profile, seed, policy):
 # parsers behind a listening port                                             #
 # --------------------------------------------------------------------------- #
 
-#: nested deeper than ``json.loads`` can recurse (it raises RecursionError)
-_NESTED = b"[" * 100_000 + b"]" * 100_000
-
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda kids: st.lists(kids, max_size=4)
@@ -251,8 +249,8 @@ _frame_streams = st.binary(max_size=256) | st.lists(
 
 @given(data=_frame_streams, cuts=st.lists(st.integers(0, 512), max_size=6))
 @settings(max_examples=50)
-@example(data=_frame(_NESTED), cuts=[])
-@example(data=_frame(_NESTED), cuts=[4, 100_000])
+@example(data=_frame(NESTED_JSON), cuts=[])
+@example(data=_frame(NESTED_JSON), cuts=[4, 100_000])
 def test_frame_decoder_yields_typed_messages_or_protocol_error(data, cuts):
     """Any bytes, split anywhere: ``FrameDecoder.feed`` yields typed dict
     messages or raises :class:`ProtocolError`, and nothing else."""
@@ -287,7 +285,7 @@ _request_heads = st.sampled_from(
 @example(head=b"GET / HTTP/1.1\r\n", data=b"X-Big: " + b"a" * 70_000 + b"\r\n\r\n")
 @example(
     head=b"POST /v1/sweeps HTTP/1.1\r\n",
-    data=b"Content-Length: %d\r\n\r\n%s" % (len(_NESTED), _NESTED),
+    data=b"Content-Length: %d\r\n\r\n%s" % (len(NESTED_JSON), NESTED_JSON),
 )
 def test_read_request_returns_request_or_protocol_error(head, data):
     """Any bytes: ``read_request`` returns a :class:`Request` (whose JSON
